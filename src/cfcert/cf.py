@@ -16,6 +16,7 @@ from .reals import (
     ConstantSpec,
     PrecisionBudget,
     Surd,
+    escalate,
     eval_constant,
     exact_value,
 )
@@ -101,12 +102,14 @@ def _floor_run(spec: ConstantSpec, max_terms: int, scale: int,
     return terms
 
 
-def _certified_prefix(spec: ConstantSpec, want_terms: int, working: int,
+def _certified_prefix(spec: ConstantSpec, want_terms: int,
                       budget: PrecisionBudget) -> list[int]:
     """Common quotient prefix of runs at ``working`` and ``working + 2*guard``."""
     step = max(2 * budget.guard, 2)
-    first = _floor_run(spec, want_terms, working, budget)
-    second = _floor_run(spec, want_terms, working + step, budget)
+    if budget.working + step + budget.guard > budget.cap:
+        raise PrecisionError("certification pass does not fit under the cap")
+    first = _floor_run(spec, want_terms, budget.working, budget)
+    second = _floor_run(spec, want_terms, budget.working + step, budget)
     prefix: list[int] = []
     for a, b in zip(first, second):
         if a != b:
@@ -132,27 +135,22 @@ def expand(spec: ConstantSpec, want_terms: int,
         terms = _rational_expansion(exact)
         return PartialQuotients(tuple(terms), len(terms), spec, terminated=True)
 
-    step = max(2 * budget.guard, 2)
-    working = budget.working
     best: list[int] = []
-    while True:
-        capped = working + step + budget.guard > budget.cap
-        if not capped:
-            try:
-                prefix = _certified_prefix(spec, want_terms, working, budget)
-            except PrecisionError:
-                capped = True
-        if capped:
+
+    def attempt(b: PrecisionBudget) -> PartialQuotients:
+        nonlocal best
+        try:
+            best = max(best, _certified_prefix(spec, want_terms, b), key=len)
+        except PrecisionError:
+            pass  # over the cap: report the prefix certified so far
+        if len(best) < want_terms:
             raise PrecisionError(
-                f"certified only {len(best)} of {want_terms} quotients "
-                f"before hitting the precision cap",
+                f"certified only {len(best)} of {want_terms} quotients",
                 certified_count=len(best),
             )
-        if len(prefix) > len(best):
-            best = prefix
-        if len(best) >= want_terms:
-            return PartialQuotients(tuple(best), len(best), spec)
-        working *= 2
+        return PartialQuotients(tuple(best), len(best), spec)
+
+    return escalate(attempt, budget)
 
 
 def certify(spec: ConstantSpec, want_terms: int,
@@ -168,10 +166,7 @@ def certify(spec: ConstantSpec, want_terms: int,
     exact = exact_value(spec)
     if exact is not None:
         return len(_rational_expansion(exact))
-    step = max(2 * budget.guard, 2)
-    if budget.working + step + budget.guard > budget.cap:
-        raise PrecisionError("certification pass does not fit under the cap")
-    return len(_certified_prefix(spec, want_terms, budget.working, budget))
+    return len(_certified_prefix(spec, want_terms, budget))
 
 
 # ---------------------------------------------------------------------------

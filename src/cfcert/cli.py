@@ -64,17 +64,6 @@ def parse_constant(token: str) -> ConstantSpec:
     raise ValueError(f"unknown constant {token!r}")
 
 
-def _budget(args) -> PrecisionBudget:
-    return PrecisionBudget(args.digits)
-
-
-def _engine_fn(name: str):
-    return {
-        "iter": convergents_iter,
-        "matrix": convergents_matrix,
-    }[name]
-
-
 def _print(out, line: str = "") -> None:
     out.write(line + "\n")
 
@@ -85,7 +74,7 @@ def _print(out, line: str = "") -> None:
 
 def _cmd_expand(args, out) -> int:
     spec = parse_constant(args.constant)
-    quotients = expand(spec, args.terms, _budget(args))
+    quotients = expand(spec, args.terms, PrecisionBudget(args.digits))
     shown = quotients.terms[:args.terms]
     if args.format == "csv":
         _print(out, "n,a")
@@ -98,12 +87,14 @@ def _cmd_expand(args, out) -> int:
 
 def _cmd_convergents(args, out) -> int:
     spec = parse_constant(args.constant)
-    quotients = expand(spec, args.terms, _budget(args))
+    quotients = expand(spec, args.terms, PrecisionBudget(args.digits))
     upto = min(args.terms, quotients.certified_count) - 1
     if args.engine == "fast":
         convs = [convergents_fast(quotients, upto)]
+    elif args.engine == "matrix":
+        convs = convergents_matrix(quotients, upto)
     else:
-        convs = _engine_fn(args.engine)(quotients, upto)
+        convs = convergents_iter(quotients, upto)
     if args.format == "csv":
         _print(out, "n,p,q")
         for c in convs:
@@ -130,7 +121,7 @@ def _measure_text(rows, out) -> None:
 
 def _cmd_measure(args, out) -> int:
     spec = parse_constant(args.constant)
-    rows = measure_table(spec, args.terms, _budget(args))
+    rows = measure_table(spec, args.terms, PrecisionBudget(args.digits))
     if args.format == "csv":
         _print(out, "n,p,q,mu,lagrange")
         for r in rows:
@@ -148,7 +139,7 @@ def _cmd_measure(args, out) -> int:
 
 def _cmd_probe(args, out) -> int:
     spec = parse_constant(args.constant)
-    budget = _budget(args)
+    budget = PrecisionBudget(args.digits)
     quotients = expand(spec, args.terms, budget)
     upto = min(args.terms, quotients.certified_count) - 1
     convs = convergents_iter(quotients, upto)
@@ -178,7 +169,7 @@ def _cmd_probe(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     spec = parse_constant(args.constant)
-    budget = _budget(args)
+    budget = PrecisionBudget(args.digits)
     quotients = expand(spec, args.terms, budget)
     n_avail = min(args.terms, quotients.certified_count)
     upto = n_avail - 1
@@ -281,29 +272,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, plot_ok=True):
+    def command(name, help, *flags, formats=("text", "csv")):
+        p = sub.add_parser(name, help=help)
         p.add_argument("constant", help="pi, pi2, pi3, pi^t/s, sqrt:d, "
                                         "surd:a,b,d,c, lit:x, golden")
         p.add_argument("--terms", "--rows", "-n", dest="terms", type=int,
                        default=30, help="terms / table rows (default 30)")
-        p.add_argument("--digits", type=int, default=60,
-                       help="certified decimal digits (default 60)")
-        p.add_argument("--engine", choices=_ENGINES, default="iter")
-        formats = ["text", "csv"] + (["plot"] if plot_ok else [])
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--seed", type=int, default=None)
+        if "--digits" in flags:
+            p.add_argument("--digits", type=int, default=60,
+                           help="certified decimal digits (default 60)")
+        if "--engine" in flags:
+            p.add_argument("--engine", choices=_ENGINES, default="iter")
+        if "--format" in flags:
+            p.add_argument("--format", choices=formats, default="text")
+        if "--seed" in flags:
+            p.add_argument("--seed", type=int, default=None)
 
-    common(sub.add_parser("expand", help="certified partial quotients"),
-           plot_ok=False)
-    common(sub.add_parser("convergents", help="convergents p_n/q_n"),
-           plot_ok=False)
-    common(sub.add_parser("measure", help="irrationality-measure table"))
-    common(sub.add_parser("probe", help="residual and sine-probe table"),
-           plot_ok=False)
-    common(sub.add_parser("verify", help="identity and bound checks"),
-           plot_ok=False)
-    common(sub.add_parser("bench", help="engine benchmark on exact quotients"),
-           plot_ok=False)
+    command("expand", "certified partial quotients", "--digits", "--format")
+    command("convergents", "convergents p_n/q_n",
+            "--digits", "--engine", "--format")
+    command("measure", "irrationality-measure table", "--digits", "--format",
+            formats=("text", "csv", "plot"))
+    command("probe", "residual and sine-probe table", "--digits", "--format")
+    command("verify", "identity and bound checks", "--digits")
+    command("bench", "engine benchmark on exact quotients", "--seed")
     return parser
 
 
@@ -328,8 +320,6 @@ def run(argv: list[str] | None = None, out=None) -> int:
     try:
         if args.terms < 1:
             raise ValueError("--terms must be >= 1")
-        if args.digits < 1:
-            raise ValueError("--digits must be >= 1")
         return _COMMANDS[args.command](args, out)
     except PrecisionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .cf import PartialQuotients
 
@@ -114,14 +114,12 @@ def _terms_of(quotients, upto: int) -> Sequence[int]:
     return terms
 
 
-def convergents_iter(quotients, upto: int,
-                     counter: WorkCounter | None = None) -> list[Convergent]:
-    """Convergents 0..upto by the two-term recurrence.
+def _recurrence_pairs(terms: Sequence[int], upto: int,
+                      counter: WorkCounter | None) -> Iterator[tuple[int, int]]:
+    """(p_n, q_n) for n = 0..upto by the two-term recurrence.
 
     Seeds p_-2=0, p_-1=1, q_-2=1, q_-1=0.
     """
-    terms = _terms_of(quotients, upto)
-    out: list[Convergent] = []
     p_prev2, p_prev1 = 0, 1
     q_prev2, q_prev1 = 1, 0
     for n in range(upto + 1):
@@ -129,28 +127,39 @@ def convergents_iter(quotients, upto: int,
         if counter is not None:
             counter.record(a, p_prev1)
             counter.record(a, q_prev1)
-        p = a * p_prev1 + p_prev2
-        q = a * q_prev1 + q_prev2
-        out.append(Convergent(n, p, q))
-        p_prev2, p_prev1 = p_prev1, p
-        q_prev2, q_prev1 = q_prev1, q
-    return out
+        p_prev2, p_prev1 = p_prev1, a * p_prev1 + p_prev2
+        q_prev2, q_prev1 = q_prev1, a * q_prev1 + q_prev2
+        yield p_prev1, q_prev1
+
+
+def _matrix_pairs(terms: Sequence[int], upto: int,
+                  counter: WorkCounter | None) -> Iterator[tuple[int, int]]:
+    """(p_n, q_n) for n = 0..upto from the running matrix product.
+
+    After folding a_0..a_n the product is [[p_n, p_n-1], [q_n, q_n-1]];
+    its first column is read off at every step.
+    """
+    acc = Mat2.identity()
+    for n in range(upto + 1):
+        acc = acc.mul(Mat2.quotient(terms[n]), counter)
+        yield acc.m00, acc.m10
+
+
+_PAIR_STREAMS = {"iter": _recurrence_pairs, "matrix": _matrix_pairs}
+
+
+def convergents_iter(quotients, upto: int,
+                     counter: WorkCounter | None = None) -> list[Convergent]:
+    """Convergents 0..upto by the two-term recurrence."""
+    pairs = _recurrence_pairs(_terms_of(quotients, upto), upto, counter)
+    return [Convergent(n, p, q) for n, (p, q) in enumerate(pairs)]
 
 
 def convergents_matrix(quotients, upto: int,
                        counter: WorkCounter | None = None) -> list[Convergent]:
-    """Convergents 0..upto from the running left-to-right matrix product.
-
-    After folding a_0..a_n the product is [[p_n, p_n-1], [q_n, q_n-1]];
-    the first column is read off at every step.
-    """
-    terms = _terms_of(quotients, upto)
-    out: list[Convergent] = []
-    acc = Mat2.identity()
-    for n in range(upto + 1):
-        acc = acc.mul(Mat2.quotient(terms[n]), counter)
-        out.append(Convergent(n, acc.m00, acc.m10))
-    return out
+    """Convergents 0..upto from the running left-to-right matrix product."""
+    pairs = _matrix_pairs(_terms_of(quotients, upto), upto, counter)
+    return [Convergent(n, p, q) for n, (p, q) in enumerate(pairs)]
 
 
 def convergents_fast(quotients, n: int,
@@ -180,26 +189,14 @@ def final_convergent(quotients, n: int, engine: str = "iter",
     sequential engines at lengths where storing every convergent would
     exhaust memory.
     """
-    terms = _terms_of(quotients, n)
     if engine == "fast":
         return convergents_fast(quotients, n, counter)
-    if engine == "matrix":
-        acc = Mat2.identity()
-        for i in range(n + 1):
-            acc = acc.mul(Mat2.quotient(terms[i]), counter)
-        return Convergent(n, acc.m00, acc.m10)
-    if engine == "iter":
-        p_prev2, p_prev1 = 0, 1
-        q_prev2, q_prev1 = 1, 0
-        for i in range(n + 1):
-            a = terms[i]
-            if counter is not None:
-                counter.record(a, p_prev1)
-                counter.record(a, q_prev1)
-            p_prev2, p_prev1 = p_prev1, a * p_prev1 + p_prev2
-            q_prev2, q_prev1 = q_prev1, a * q_prev1 + q_prev2
-        return Convergent(n, p_prev1, q_prev1)
-    raise ValueError(f"unknown engine {engine!r}")
+    if engine not in _PAIR_STREAMS:
+        raise ValueError(f"unknown engine {engine!r}")
+    p, q = 1, 0  # the seeds p_-1, q_-1, left when the stream is empty
+    for p, q in _PAIR_STREAMS[engine](_terms_of(quotients, n), n, counter):
+        pass  # keep only the last pair
+    return Convergent(n, p, q)
 
 
 def check_determinant(seq: Sequence[Convergent]) -> bool:

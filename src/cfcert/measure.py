@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 from .cf import expand
 from .convergents import Convergent, convergents_iter
@@ -23,6 +24,7 @@ from .reals import (
     CertifiedReal,
     ConstantSpec,
     PrecisionBudget,
+    escalate,
     eval_constant,
     exact_value,
     exp_certified,
@@ -109,22 +111,23 @@ def lagrange(q: int, mu) -> Decimal:
     if q == 1:
         return _as_decimal(_SCALE)
     exponent = Fraction(str(mu)) - 2
-    scale = 40
-    while True:
-        lnq = ln_certified(CertifiedReal.point(q), scale)
+
+    def attempt(b: PrecisionBudget) -> Decimal:
+        lnq = ln_certified(CertifiedReal.point(q), b.working)
         value = exp_certified(
             CertifiedReal(exponent * lnq.lo, exponent * lnq.hi)
             if exponent >= 0
             else CertifiedReal(exponent * lnq.hi, exponent * lnq.lo),
-            scale,
+            b.working,
         )
         lo = _round_fraction(value.lo, "half_even")
         hi = _round_fraction(value.hi, "half_even")
-        if lo == hi:
-            return _as_decimal(lo)
-        scale *= 2
-        if scale > 10_000:
+        if lo != hi:
             raise PrecisionError("lagrange value sits on a rounding boundary")
+        return _as_decimal(lo)
+
+    # working precision 40, 80, ..., 5120
+    return escalate(attempt, PrecisionBudget(30, cap=10_000))
 
 
 def measure_table(alpha: ConstantSpec, rows: int,
@@ -153,13 +156,7 @@ def measure_table(alpha: ConstantSpec, rows: int,
             # final convergent of a rational equals the value exactly
             out.append(MeasureRow(conv.n + 1, conv.p, conv.q, None, None))
             continue
-        attempt = budget
-        while True:
-            try:
-                mu = mu_n(alpha, conv, attempt)
-                break
-            except PrecisionError:
-                attempt = attempt.escalated()
+        mu = escalate(partial(mu_n, alpha, conv), budget)
         out.append(MeasureRow(conv.n + 1, conv.p, conv.q, mu,
                               lagrange(conv.q, mu)))
     return out

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 from .convergents import Convergent
 from .errors import PrecisionError
@@ -22,6 +23,8 @@ from .reals import (
     ConstantSpec,
     PiPower,
     PrecisionBudget,
+    _floor_log10,
+    escalate,
     eval_constant,
     exact_value,
     pi_interval,
@@ -76,24 +79,14 @@ def residual(alpha: ConstantSpec, conv: Convergent,
     return eps
 
 
-def _residual_escalating(alpha: ConstantSpec, conv: Convergent,
-                         budget: PrecisionBudget) -> CertifiedReal:
-    attempt = budget
-    while True:
-        try:
-            return residual(alpha, conv, attempt)
-        except PrecisionError:
-            attempt = attempt.escalated()
-
-
 def sine_probe(alpha: ConstantSpec, conv: Convergent,
                budget: PrecisionBudget) -> ProbeRow:
     """Probe row for one convergent; precision escalates on the residual."""
     # the residual loses ~log10(q) digits to the q*alpha product, so the
     # enclosure of alpha gets them back before the sine sees the result
-    q_digits = len(str(conv.q))
+    q_digits = _floor_log10(conv.q) + 1
     inner = PrecisionBudget(budget.digits + q_digits + 4, budget.guard, budget.cap)
-    eps = _residual_escalating(alpha, conv, inner)
+    eps = escalate(partial(residual, alpha, conv), inner)
     abs_eps = abs(eps)
 
     scale = budget.working + 8
@@ -149,18 +142,6 @@ def envelope_check(z: CertifiedReal, budget: PrecisionBudget | None = None) -> b
     return True
 
 
-def _floor_log10(x: Fraction) -> int:
-    if x <= 0:
-        raise ValueError("log10 of non-positive width")
-    digits = len(str(x.numerator)) - len(str(x.denominator))
-    # refine the digit-count estimate to an exact floor
-    while 10 ** digits > x:
-        digits -= 1
-    while 10 ** (digits + 1) <= x:
-        digits += 1
-    return digits
-
-
 def bound_check(alpha: ConstantSpec, rows: list[ProbeRow],
                 convs: list[Convergent],
                 budget: PrecisionBudget | None = None) -> list[BoundReport]:
@@ -175,24 +156,22 @@ def bound_check(alpha: ConstantSpec, rows: list[ProbeRow],
     if len(convs) < len(rows) + 1:
         raise ValueError("need the successor convergent for every checked row")
     reports: list[BoundReport] = []
-    for i, row in enumerate(rows):
-        cur, nxt = convs[i], convs[i + 1]
+    for row, cur, nxt in zip(rows, convs, convs[1:]):
         if cur.n + 1 != row.display_n:
             raise ValueError("rows and convergents are misaligned")
-        abs_eps = row.abs_epsilon
-        upper = abs_eps.certainly_less_than(Fraction(1, nxt.q))
-        lower = abs_eps.certainly_greater_than(Fraction(1, cur.q + nxt.q))
+        lower, upper = _bound_flags(row.abs_epsilon, cur, nxt)
         mu = None
-        if cur.q > 1 and not abs_eps.is_zero():
-            attempt = budget
-            while True:
-                try:
-                    mu = mu_n(alpha, cur, attempt)
-                    break
-                except PrecisionError:
-                    attempt = attempt.escalated()
+        if cur.q > 1 and not row.abs_epsilon.is_zero():
+            mu = escalate(partial(mu_n, alpha, cur), budget)
         reports.append(BoundReport(row.display_n, lower, upper, mu))
     return reports
+
+
+def _bound_flags(abs_eps: CertifiedReal, cur: Convergent,
+                 nxt: Convergent) -> tuple[bool, bool]:
+    """(lower, upper) flags of 1/(q_n + q_n+1) < |eps_n| < 1/q_n+1."""
+    return (abs_eps.certainly_greater_than(Fraction(1, cur.q + nxt.q)),
+            abs_eps.certainly_less_than(Fraction(1, nxt.q)))
 
 
 def probe_table(alpha: ConstantSpec, convs: list[Convergent],
@@ -201,10 +180,9 @@ def probe_table(alpha: ConstantSpec, convs: list[Convergent],
     budget = budget or PrecisionBudget(60)
     if len(convs) < 2:
         raise ValueError("need at least two convergents")
-    rows = [sine_probe(alpha, c, budget) for c in convs[:-1]]
-    reports = bound_check(alpha, rows, convs, budget)
-    return [
-        replace(row, lower_bound_ok=rep.lower_bound_ok,
-                upper_bound_ok=rep.upper_bound_ok)
-        for row, rep in zip(rows, reports)
-    ]
+    out: list[ProbeRow] = []
+    for cur, nxt in zip(convs, convs[1:]):
+        row = sine_probe(alpha, cur, budget)
+        lower, upper = _bound_flags(row.abs_epsilon, cur, nxt)
+        out.append(replace(row, lower_bound_ok=lower, upper_bound_ok=upper))
+    return out

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import Callable, TypeVar
 
 from .errors import PrecisionError
 
@@ -22,6 +23,7 @@ DEFAULT_PRECISION_CAP = 1_000_000
 
 _ZERO = Fraction(0)
 _DECIMAL_RE = re.compile(r"^[+-]?\d+(\.\d+)?$")
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +34,7 @@ _DECIMAL_RE = re.compile(r"^[+-]?\d+(\.\d+)?$")
 class PrecisionBudget:
     """Requested certified decimal digits plus guard digits for headroom.
 
-    ``cap`` bounds the working precision any escalation loop may reach;
+    ``cap`` bounds the working precision :func:`escalate` may reach;
     exceeding it raises :class:`PrecisionError` rather than exhausting
     memory.
     """
@@ -53,14 +55,37 @@ class PrecisionBudget:
     def working(self) -> int:
         return self.digits + self.guard
 
-    def escalated(self, factor: int = 2) -> "PrecisionBudget":
-        """Budget with ``digits`` scaled up, preserving guard and cap."""
-        new_digits = self.digits * factor
-        if new_digits + self.guard > self.cap:
+    def escalated(self) -> "PrecisionBudget":
+        """Budget with the working precision doubled, guard and cap kept.
+
+        Raises PrecisionError past ``cap``.  Only :func:`escalate` calls this.
+        """
+        working = 2 * self.working
+        if working > self.cap:
             raise PrecisionError(
-                f"working precision {new_digits + self.guard} exceeds cap {self.cap}"
+                f"working precision {working} exceeds cap {self.cap}"
             )
-        return PrecisionBudget(new_digits, self.guard, self.cap)
+        return PrecisionBudget(working - self.guard, self.guard, self.cap)
+
+
+def escalate(attempt: Callable[[PrecisionBudget], T], budget: PrecisionBudget) -> T:
+    """``attempt(budget)``, rerun at ``budget.escalated()`` after each PrecisionError.
+
+    The package's one precision policy.  Once the next doubling would pass
+    ``cap``, raises one PrecisionError with the last attempt's message and
+    ``certified_count`` plus the working precision reached.
+    """
+    while True:
+        try:
+            return attempt(budget)
+        except PrecisionError as exc:
+            try:
+                budget = budget.escalated()
+            except PrecisionError:
+                raise PrecisionError(
+                    f"{exc} (working precision {budget.working}, cap {budget.cap})",
+                    certified_count=exc.certified_count,
+                ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +302,25 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def _floor_log10(x: int | Fraction) -> int:
+    """floor(log10(x)) for a positive rational, exact at any size.
+
+    A bit-length estimate corrected by integer comparisons; unlike
+    ``len(str(n))`` it is not subject to the int-to-str digit limit.
+    """
+    if x <= 0:
+        raise ValueError("log10 of non-positive value")
+    num, den = x.numerator, x.denominator
+    k = (num.bit_length() - den.bit_length()) * 30103 // 100000
+    num, den = (num, den * 10 ** k) if k >= 0 else (num * 10 ** -k, den)
+    # num/den = x / 10^k lies within a step or two of [1, 10)
+    while num < den:
+        num, k = num * 10, k - 1
+    while num >= 10 * den:
+        den, k = den * 10, k + 1
+    return k
+
+
 def _fx_bounds(x: Fraction, scale: int) -> tuple[int, int]:
     t = x * 10 ** scale
     lo = t.numerator // t.denominator
@@ -457,14 +501,8 @@ def _ln_point_fx(x: Fraction, scale: int) -> tuple[int, int]:
         raise ValueError("ln of non-positive value")
     s = scale + 8
     # decimal shift so the mantissa sits in [0.5, 5): |z| <= 2/3 below
-    k = len(str(x.numerator)) - len(str(x.denominator))
+    k = _floor_log10(2 * x)
     m = x / Fraction(10) ** k
-    if m < Fraction(1, 2):
-        m *= 10
-        k -= 1
-    elif m >= 5:
-        m /= 10
-        k += 1
     z = (m - 1) / (m + 1)
     sign = 1
     if z < 0:
@@ -523,28 +561,31 @@ def pi_interval(scale: int) -> CertifiedReal:
 def eval_constant(spec: ConstantSpec, budget: PrecisionBudget) -> CertifiedReal:
     """Enclosure of the constant with width <= 10^-digits.
 
-    Deterministic for a fixed (spec, budget).  Raises PrecisionError if
-    the working precision needed would exceed the budget cap.
+    Starts a few digits above ``budget.working`` (more for high powers of
+    pi) and doubles the working precision under :func:`escalate` until
+    the enclosure is narrow enough.  Deterministic for a fixed (spec,
+    budget).  Raises PrecisionError if that would exceed the budget cap.
     """
-    target = Fraction(1, 10 ** budget.digits)
     exact = exact_value(spec)
     if exact is not None:
         return CertifiedReal.point(exact)
 
-    extra = 8
-    if isinstance(spec, PiPower):
-        extra += abs(spec.t)
-    working = budget.working + extra
-    while True:
-        if working > budget.cap:
+    extra = 8 + (abs(spec.t) if isinstance(spec, PiPower) else 0)
+    if budget.working + extra > budget.cap:
+        raise PrecisionError(
+            f"cannot evaluate {spec.describe()} to {budget.digits} digits "
+            f"within precision cap {budget.cap}"
+        )
+
+    def attempt(b: PrecisionBudget) -> CertifiedReal:
+        result = _eval_at(spec, b.working)
+        if result.width > Fraction(1, 10 ** budget.digits):
             raise PrecisionError(
-                f"cannot evaluate {spec.describe()} to {budget.digits} digits "
-                f"within precision cap {budget.cap}"
-            )
-        result = _eval_at(spec, working)
-        if result.width <= target:
-            return result
-        working *= 2
+                f"{spec.describe()} not certified to {budget.digits} digits")
+        return result
+
+    return escalate(attempt, PrecisionBudget(budget.digits + extra,
+                                             budget.guard, budget.cap))
 
 
 def _eval_at(spec: ConstantSpec, scale: int) -> CertifiedReal:
@@ -597,7 +638,7 @@ def sin_certified(x: CertifiedReal, budget: PrecisionBudget) -> CertifiedReal:
         return CertifiedReal.point(0)
 
     magnitude = max(abs(x.lo), abs(x.hi))
-    mag_digits = len(str(int(magnitude))) if magnitude >= 1 else 1
+    mag_digits = _floor_log10(magnitude) + 1 if magnitude >= 1 else 1
     scale = budget.working + mag_digits + 8
     if scale > budget.cap:
         raise PrecisionError(

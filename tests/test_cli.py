@@ -134,6 +134,30 @@ class TestExitCodes:
         code, _ = run_cli("expand", "pi2", "--engine", "warp")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("expand", "pi2", "--seed", "3"),
+        ("expand", "pi2", "--engine", "matrix"),
+        ("convergents", "pi2", "--seed", "3"),
+        ("measure", "pi2", "--engine", "fast"),
+        ("measure", "pi2", "--seed", "3"),
+        ("probe", "pi2", "--engine", "iter"),
+        ("probe", "pi2", "--format", "plot"),
+        ("verify", "pi2", "--format", "csv"),
+        ("verify", "pi2", "--engine", "matrix"),
+        ("bench", "golden", "--digits", "60"),
+        ("bench", "golden", "--engine", "iter"),
+        ("bench", "golden", "--format", "csv"),
+    ])
+    def test_flag_unread_by_subcommand(self, argv):
+        code, _ = run_cli(*argv)
+        assert code == 2
+
+    @pytest.mark.parametrize("command", ["expand", "convergents", "measure",
+                                         "probe", "verify"])
+    def test_zero_digits(self, command):
+        code, _ = run_cli(command, "pi2", "--digits", "0")
+        assert code == 2
+
     def test_missing_subcommand(self):
         code, _ = run_cli()
         assert code == 2

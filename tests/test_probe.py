@@ -183,3 +183,21 @@ class TestTwoSidedResidualInvariant:
             assert row.abs_epsilon.certainly_less_than(Fraction(1, nxt.q))
             assert row.abs_epsilon.certainly_greater_than(
                 Fraction(1, convs[i].q + nxt.q))
+
+
+class TestProbeTableFlags:
+    def test_flags_match_bound_check_pi2_30_rows(self):
+        budget = PrecisionBudget(60)
+        convs = convergents_iter(expand(PI2, 31, budget), 30)
+        rows = probe_table(PI2, convs, budget)
+        reports = bound_check(PI2, rows, convs, budget)
+        assert len(rows) == 30
+        assert ([(r.lower_bound_ok, r.upper_bound_ok) for r in rows]
+                == [(r.lower_bound_ok, r.upper_bound_ok) for r in reports])
+
+
+class TestBeyondIntStrLimit:
+    def test_envelope_of_huge_width_denominator(self):
+        lo = Fraction(1, 1000)
+        z = CertifiedReal(lo, lo + Fraction(1, 10 ** 5000))
+        assert envelope_check(z) is True

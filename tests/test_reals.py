@@ -18,7 +18,13 @@ from cfcert import (
     eval_constant,
     sin_certified,
 )
-from cfcert.reals import exp_certified, ln_certified, pi_interval
+from cfcert.reals import (
+    _floor_log10,
+    escalate,
+    exp_certified,
+    ln_certified,
+    pi_interval,
+)
 
 from reference_data import PI2_30, PI_50, SQRT2_20
 
@@ -223,3 +229,72 @@ class TestIntervalArithmetic:
         r = x.outward(5)
         assert r.contains_interval(x)
         assert r.lo.denominator <= 10 ** 5 and r.hi.denominator <= 10 ** 5
+
+
+class TestEscalate:
+    def test_returns_first_success(self):
+        seen = []
+
+        def attempt(b):
+            seen.append(b.working)
+            if len(seen) < 3:
+                raise PrecisionError("not yet")
+            return b
+
+        out = escalate(attempt, PrecisionBudget(30))
+        assert seen == [40, 80, 160]
+        assert out.working == 160
+
+    def test_doubles_working_keeping_guard_and_cap(self):
+        b = PrecisionBudget(30, guard=7, cap=500).escalated()
+        assert (b.digits, b.guard, b.cap, b.working) == (67, 7, 500, 74)
+
+    def test_cap_raises_once_with_last_certified_count(self):
+        seen = []
+
+        def attempt(b):
+            seen.append(b.working)
+            raise PrecisionError(f"short at {b.working}", certified_count=len(seen))
+
+        with pytest.raises(PrecisionError) as exc_info:
+            escalate(attempt, PrecisionBudget(30, cap=10_000))
+        assert seen == [40 * 2 ** k for k in range(8)]  # 40 ... 5120
+        assert exc_info.value.certified_count == 8
+        assert "short at 5120" in str(exc_info.value)
+        assert "cap 10000" in str(exc_info.value)
+
+    def test_other_errors_not_retried(self):
+        seen = []
+
+        def attempt(b):
+            seen.append(b)
+            raise ZeroDivisionError
+
+        with pytest.raises(ZeroDivisionError):
+            escalate(attempt, PrecisionBudget(30))
+        assert len(seen) == 1
+
+
+class TestBeyondIntStrLimit:
+    """Endpoints with more digits than Python's int-to-str limit (4300)."""
+
+    def test_ln_of_huge_endpoint(self):
+        tiny = Fraction(1, 10 ** 5000)
+        out = ln_certified(CertifiedReal.point(1 + tiny), 30)
+        # 0 < ln(1 + tiny) < tiny
+        assert out.lo <= 0 and tiny <= out.hi
+        assert out.width < Fraction(1, 10 ** 25)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.fractions(min_value=Fraction(1, 10 ** 30), max_value=10 ** 30),
+           st.integers(min_value=-60, max_value=60))
+    def test_floor_log10_exact(self, x, shift):
+        x *= Fraction(10) ** shift
+        if x <= 0:
+            return
+        k = _floor_log10(x)
+        assert Fraction(10) ** k <= x < Fraction(10) ** (k + 1)
+
+    def test_floor_log10_powers_of_ten(self):
+        for k in (-6000, -400, -3, 0, 1, 4400):
+            assert _floor_log10(Fraction(10) ** k) == k
