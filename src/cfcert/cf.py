@@ -1,6 +1,6 @@
 """Certified continued-fraction expansion of constants.
 
-Two routes: interval floor extraction with cross-precision agreement for
+Two routes: Euclid on the two rational endpoints of one enclosure for
 arbitrary constants, and the exact integer (P, Q) recurrence for
 quadratic surds (no rounding anywhere on that path).
 """
@@ -9,10 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
+from typing import Iterator
 
 from .errors import PrecisionError
 from .reals import (
+    CertifiedReal,
     ConstantSpec,
     PrecisionBudget,
     Surd,
@@ -67,55 +70,48 @@ class SurdExpansion:
 
 
 # ---------------------------------------------------------------------------
-# expansion via certified interval floors
+# expansion via Euclid on the enclosure endpoints
 # ---------------------------------------------------------------------------
 
-def _rational_expansion(value: Fraction) -> list[int]:
+def _euclid(value: Fraction) -> Iterator[int]:
     # plain Euclid; naturally canonical (last quotient >= 2 when len > 1)
-    terms = []
     num, den = value.numerator, value.denominator
     while den:
         a, rem = divmod(num, den)
-        terms.append(a)
+        yield a
         num, den = den, rem
-    return terms
 
 
-def _floor_run(spec: ConstantSpec, max_terms: int, scale: int,
-               budget: PrecisionBudget) -> list[int]:
-    """Quotients extracted at one working precision.
+def _shared_prefix(x: CertifiedReal, max_terms: int) -> list[int]:
+    """Leading quotients shared by the Euclid expansions of x.lo and x.hi.
 
-    Stops at the first floor the interval cannot decide (both endpoints
-    must share it) or once the leftover fraction may touch zero.
+    Stops at the first disagreement, at the end of either expansion or
+    after ``max_terms``.  Every real in [lo, hi] starts with this prefix
+    a_0, ..., a_k: Euclid on a rational yields its floor/reciprocal
+    quotients, so the reals starting with the prefix form the set
+    {[a_0; ..., a_k-1, t] : a_k <= t < a_k + 1, t > 1 if k > 0}, the image
+    of an interval under a monotone map, hence an interval.  It holds
+    both endpoints, so every real between them.  No shared term needs
+    dropping: an endpoint whose expansion ends at a_k has t = a_k, which
+    is in the set because a canonical last quotient is >= 2 when k > 0.
     """
-    x = eval_constant(spec, PrecisionBudget(scale, budget.guard, budget.cap))
-    terms: list[int] = []
-    while len(terms) < max_terms:
-        lo_floor, hi_floor = x.floor_pair()
-        if lo_floor != hi_floor:
-            break
-        terms.append(lo_floor)
-        frac = x - lo_floor
-        if frac.lo <= 0:
-            break
-        x = frac.reciprocal().outward(scale)
-    return terms
-
-
-def _certified_prefix(spec: ConstantSpec, want_terms: int,
-                      budget: PrecisionBudget) -> list[int]:
-    """Common quotient prefix of runs at ``working`` and ``working + 2*guard``."""
-    step = max(2 * budget.guard, 2)
-    if budget.working + step + budget.guard > budget.cap:
-        raise PrecisionError("certification pass does not fit under the cap")
-    first = _floor_run(spec, want_terms, budget.working, budget)
-    second = _floor_run(spec, want_terms, budget.working + step, budget)
     prefix: list[int] = []
-    for a, b in zip(first, second):
+    for a, b in islice(zip(_euclid(x.lo), _euclid(x.hi)), max_terms):
         if a != b:
             break
         prefix.append(a)
     return prefix
+
+
+def _certified_prefix(spec: ConstantSpec, want_terms: int,
+                      budget: PrecisionBudget) -> list[int]:
+    """Shared prefix of one enclosure at this budget alone.
+
+    Rounding outward to the ``working`` grid keeps the certificate from
+    depending on the extra digits ``eval_constant`` worked at.
+    """
+    x = eval_constant(spec, budget).outward(budget.working)
+    return _shared_prefix(x, want_terms)
 
 
 def expand(spec: ConstantSpec, want_terms: int,
@@ -132,7 +128,7 @@ def expand(spec: ConstantSpec, want_terms: int,
 
     exact = exact_value(spec)
     if exact is not None:
-        terms = _rational_expansion(exact)
+        terms = list(_euclid(exact))
         return PartialQuotients(tuple(terms), len(terms), spec, terminated=True)
 
     best: list[int] = []
@@ -157,7 +153,8 @@ def certify(spec: ConstantSpec, want_terms: int,
             budget: PrecisionBudget | None = None) -> int:
     """Length of the quotient prefix certified at this budget alone.
 
-    One agreement pass at (working, working + 2*guard); no escalation.
+    Euclid on the endpoints of one enclosure, rounded outward to the
+    ``working`` grid; no escalation.
     Exact rationals certify their whole terminating expansion.
     """
     if want_terms < 1:
@@ -165,7 +162,7 @@ def certify(spec: ConstantSpec, want_terms: int,
     budget = budget or PrecisionBudget(60)
     exact = exact_value(spec)
     if exact is not None:
-        return len(_rational_expansion(exact))
+        return len(list(_euclid(exact)))
     return len(_certified_prefix(spec, want_terms, budget))
 
 

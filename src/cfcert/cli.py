@@ -15,12 +15,12 @@ import time
 from .cf import expand, surd_expand
 from .convergents import (
     WorkCounter,
+    _telescoping_sums,
     check_determinant,
     convergents_fast,
     convergents_iter,
     convergents_matrix,
     final_convergent,
-    telescoping_sum,
 )
 from .errors import PrecisionError
 from .measure import measure_table
@@ -196,9 +196,9 @@ def _cmd_verify(args, out) -> int:
     report("determinant identity", check_determinant(convs))
 
     tele_ok, tele_detail = True, ""
-    for n in range(1, upto + 1):
-        if telescoping_sum(quotients, n) != convs[n].value:
-            tele_ok, tele_detail = False, f"first failure at n={n}"
+    for total, c in zip(_telescoping_sums(quotients, upto), convs):
+        if total != c.value:
+            tele_ok, tele_detail = False, f"first failure at n={c.n}"
             break
     report("telescoping identity", tele_ok, tele_detail)
 
@@ -234,7 +234,7 @@ def _bench_quotients(args) -> list[int]:
     spec = parse_constant(spec_token)
     if isinstance(spec, Surd):
         return list(surd_expand(spec, n).quotients.terms[:n])
-    # interval expansion would dominate the benchmark; restrict to exact sources
+    # bench times the engines on reproducible exact quotient streams
     raise ValueError("bench needs a surd constant (e.g. golden, sqrt:2) or 'random'")
 
 

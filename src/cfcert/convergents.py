@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -208,15 +209,22 @@ def check_determinant(seq: Sequence[Convergent]) -> bool:
     return True
 
 
+def _telescoping_sums(quotients, upto: int) -> Iterator[Fraction]:
+    """a_0 + sum_{0<=k<n} (-1)^k / (q_k * q_k+1) for n = 0..upto, in one pass."""
+    terms = _terms_of(quotients, upto)
+    total = Fraction(terms[0])
+    yield total
+    q_prev, sign = 1, 1  # q_0 = 1
+    for _, q in islice(_recurrence_pairs(terms, upto, None), 1, None):
+        total += Fraction(sign, q_prev * q)
+        yield total
+        q_prev, sign = q, -sign
+
+
 def telescoping_sum(quotients, n: int) -> Fraction:
     """a_0 + sum_{0<=k<n} (-1)^k / (q_k * q_k+1), exactly p_n/q_n."""
-    terms = _terms_of(quotients, n)
-    if n == 0:
-        return Fraction(terms[0])
-    qs = [c.q for c in convergents_iter(quotients, n)]
-    total = Fraction(terms[0])
-    for k in range(n):
-        total += Fraction((-1) ** k, qs[k] * qs[k + 1])
+    for total in _telescoping_sums(quotients, n):
+        pass  # keep only the last sum
     return total
 
 

@@ -202,11 +202,6 @@ class CertifiedReal:
         hi = -((-self.hi.numerator * d) // self.hi.denominator)
         return CertifiedReal(Fraction(lo, d), Fraction(hi, d))
 
-    def floor_pair(self) -> tuple[int, int]:
-        lo = self.lo.numerator // self.lo.denominator
-        hi = self.hi.numerator // self.hi.denominator
-        return lo, hi
-
     def __repr__(self) -> str:
         return f"CertifiedReal({self.lo}, {self.hi})"
 

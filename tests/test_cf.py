@@ -1,6 +1,7 @@
 """Expansion tests: certified quotients, escalation, exact surd recurrence."""
 
 from fractions import Fraction
+from math import floor
 
 import mpmath as mp
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfcert import (
+    CertifiedReal,
     DecimalLiteral,
     PartialQuotients,
     PiPower,
@@ -20,6 +22,7 @@ from cfcert import (
     expand,
     surd_expand,
 )
+from cfcert.cf import _shared_prefix
 
 from reference_data import PI2_QUOTIENTS_27
 
@@ -94,6 +97,88 @@ class TestCertify:
     def test_cap_too_tight_for_agreement_pass(self):
         with pytest.raises(PrecisionError):
             certify(PiPower(2, 1), 5, PrecisionBudget(30, guard=10, cap=45))
+
+
+def canonical_expansion(x: Fraction) -> list[int]:
+    """Floor/reciprocal on an exact rational until it terminates."""
+    terms = [floor(x)]
+    while x != terms[-1]:
+        x = 1 / (x - terms[-1])
+        terms.append(floor(x))
+    return terms
+
+
+def fold(terms) -> Fraction:
+    value = Fraction(terms[-1])
+    for a in reversed(terms[:-1]):
+        value = a + 1 / value
+    return value
+
+
+@st.composite
+def rational_intervals(draw):
+    """[lo, hi] whose endpoints share a drawn quotient run.
+
+    Each endpoint is that run plus a tail that may be empty, so an
+    endpoint's expansion can end at or inside the run; a last quotient
+    of 1 makes its canonical expansion one term shorter still.
+    """
+    run = [draw(st.integers(-20, 20))] + draw(
+        st.lists(st.integers(1, 9), max_size=10))
+    # small tail quotients make the tails agree, or continue with a 1
+    ends = sorted(fold(run + draw(st.lists(st.integers(1, 4), max_size=8)))
+                  for _ in range(2))
+    return CertifiedReal(*ends)
+
+
+class TestSharedPrefix:
+    @settings(max_examples=300, deadline=None)
+    @given(rational_intervals(), st.integers(1, 25),
+           st.lists(st.fractions(0, 1, max_denominator=10 ** 6), max_size=6))
+    def test_every_rational_inside_starts_with_prefix(self, x, max_terms, ts):
+        prefix = _shared_prefix(x, max_terms)
+        lo_terms = canonical_expansion(x.lo)
+        hi_terms = canonical_expansion(x.hi)
+        common = []
+        for a, b in zip(lo_terms, hi_terms):
+            if a != b:
+                break
+            common.append(a)
+        assert prefix == common[:max_terms]
+        for r in [x.lo, x.hi, x.midpoint] + [x.lo + t * x.width for t in ts]:
+            terms = canonical_expansion(r)
+            if len(terms) < len(prefix):
+                # only the equal-value form [..., a_m - 1, 1] may match
+                terms = terms[:-1] + [terms[-1] - 1, 1]
+            assert terms[:len(prefix)] == prefix
+
+    def test_endpoint_ending_inside_run(self):
+        # 7/2 = [3; 2] ends where [3; 2, 1, 4] goes on
+        x = CertifiedReal(fold([3, 2, 1, 4]), Fraction(7, 2))
+        assert _shared_prefix(x, 10) == [3, 2]
+        # the same with the short expansion at the lower end
+        x = CertifiedReal(Fraction(17, 5), fold([3, 2, 2, 1, 4]))
+        assert _shared_prefix(x, 10) == [3, 2, 2]
+        # [3; 1, 1] is canonically [3; 2], so the shared run is [3]
+        x = CertifiedReal(Fraction(7, 2), fold([3, 1, 1, 4]))
+        assert _shared_prefix(x, 10) == [3]
+
+
+class TestLongExpansions:
+    @pytest.mark.parametrize("spec", [Surd(0, 1, 199, 1), Surd(1, 2, 69, 5)])
+    def test_interval_path_matches_surd_recurrence(self, spec):
+        q = expand(spec, 1000)
+        exact = surd_expand(spec, 1000).quotients.terms
+        assert list(q.terms[:1000]) == list(exact[:1000])
+
+    def test_pi2_1000_terms_against_oracle(self):
+        q = expand(PiPower(2, 1), 1000)
+        with mp.workdps(2600):
+            assert list(q.terms[:1000]) == mp_expansion(mp.pi ** 2, 1000)
+
+    def test_pi2_1040_terms_at_working_1120(self):
+        # the longest expand in the deep benchmark needs no extra doubling
+        assert certify(PiPower(2, 1), 1040, PrecisionBudget(1110)) >= 1040
 
 
 class TestReconstruction:

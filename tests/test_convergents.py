@@ -1,5 +1,6 @@
 """Engine tests: recurrence, matrix product, product tree, identities."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -21,11 +22,18 @@ from cfcert import (
     final_convergent,
     telescoping_sum,
 )
+from cfcert.convergents import _telescoping_sums
 
 # any first quotient >= 0, later ones >= 1
 expansions = st.tuples(
     st.integers(0, 50), st.lists(st.integers(1, 50), min_size=0, max_size=35)
 ).map(lambda t: [t[0]] + t[1])
+
+
+def gauss_kuzmin_like(n: int, seed: int) -> list[int]:
+    """Seeded quotients with P(a = k) = 1/k - 1/(k+1)."""
+    rng = random.Random(seed)
+    return [int(1 / (1 - rng.random())) for _ in range(n)]
 
 
 def fold_rational(terms) -> Fraction:
@@ -154,6 +162,17 @@ class TestIdentities:
             return
         convs = convergents_iter(terms, n)
         assert telescoping_sum(terms, n) == convs[n].value
+
+    @pytest.mark.parametrize("terms", [
+        gauss_kuzmin_like(301, seed=5),
+        [1] * 301,
+    ], ids=["gauss-kuzmin", "ones"])
+    def test_partial_sums_match_every_convergent(self, terms):
+        sums = list(_telescoping_sums(terms, 300))
+        convs = convergents_iter(terms, 300)
+        assert len(sums) == 301
+        for n, (total, c) in enumerate(zip(sums, convs)):
+            assert total == telescoping_sum(terms, n) == Fraction(c.p, c.q)
 
 
 class TestFibPower:
