@@ -11,6 +11,7 @@ import argparse
 import random
 import sys
 import time
+from fractions import Fraction
 
 from .cf import expand, surd_expand
 from .convergents import (
@@ -26,11 +27,13 @@ from .errors import PrecisionError
 from .measure import measure_table
 from .probe import probe_table
 from .reals import (
+    CertifiedReal,
     ConstantSpec,
     DecimalLiteral,
     PiPower,
     PrecisionBudget,
     Surd,
+    _floor_log10,
 )
 
 _ENGINES = ("iter", "matrix", "fast")
@@ -145,26 +148,44 @@ def _cmd_probe(args, out) -> int:
     convs = convergents_iter(quotients, upto)
     rows = probe_table(spec, convs, budget)
 
-    def fmt(iv):
-        return "" if iv is None else f"{float(iv.midpoint):.6e}"
-
+    # every cell is certified before any row is printed
+    cells = [[_sci6(iv, r.display_n) for iv in
+              (r.epsilon, r.sin_direct, r.sin_reduced, r.sin_unscaled)] for r in rows]
     if args.format == "csv":
         _print(out, "n,epsilon,sin_direct,sin_reduced,sin_unscaled,"
                     "lower_ok,upper_ok,envelope_ok")
-        for r in rows:
-            _print(out, f"{r.display_n},{fmt(r.epsilon)},{fmt(r.sin_direct)},"
-                        f"{fmt(r.sin_reduced)},{fmt(r.sin_unscaled)},"
+        for r, row_cells in zip(rows, cells):
+            _print(out, f"{r.display_n},{','.join(row_cells)},"
                         f"{r.lower_bound_ok},{r.upper_bound_ok},{r.envelope_ok}")
     else:
         _print(out, f"{'n':>3}  {'epsilon':>14}  {'|sin(direct)|':>14}  "
                     f"{'|sin(pi*eps)|':>14}  {'|sin(eps)|':>14}  bounds  envelope")
-        for r in rows:
+        for r, row_cells in zip(rows, cells):
             bounds = "ok" if (r.lower_bound_ok and r.upper_bound_ok) else "FAIL"
             env = {True: "ok", False: "FAIL", None: "-"}[r.envelope_ok]
-            _print(out, f"{r.display_n:>3}  {fmt(r.epsilon):>14}  "
-                        f"{fmt(r.sin_direct):>14}  {fmt(r.sin_reduced):>14}  "
-                        f"{fmt(r.sin_unscaled):>14}  {bounds:>6}  {env}")
+            _print(out, f"{r.display_n:>3}  "
+                        + "".join(f"{c:>14}  " for c in row_cells)
+                        + f"{bounds:>6}  {env}")
     return 0
+
+
+def _sci6(iv: CertifiedReal | None, row: int) -> str:
+    """``%.6e`` of an enclosure ("" if None), each endpoint rounded exactly,
+    half to even; PrecisionError naming the row if the two differ."""
+    if iv is None:
+        return ""
+    texts = []
+    for x in (iv.lo, iv.hi):
+        e = _floor_log10(abs(x)) if x else 0
+        digits = round(abs(x) / Fraction(10) ** (e - 6))  # in [10^6, 10^7]
+        if digits == 10 ** 7:
+            digits, e = 10 ** 6, e + 1
+        texts.append(f"{'-' if x < 0 else ''}{digits // 10 ** 6}."
+                     f"{digits % 10 ** 6:06d}e{e:+03d}")
+    if texts[0] != texts[1]:
+        raise PrecisionError(f"probe row {row}: enclosure rounds to both "
+                             f"{texts[0]} and {texts[1]}")
+    return texts[0]
 
 
 def _cmd_verify(args, out) -> int:
@@ -195,12 +216,9 @@ def _cmd_verify(args, out) -> int:
     convs = convergents_iter(quotients, upto)
     report("determinant identity", check_determinant(convs))
 
-    tele_ok, tele_detail = True, ""
-    for total, c in zip(_telescoping_sums(quotients, upto), convs):
-        if total != c.value:
-            tele_ok, tele_detail = False, f"first failure at n={c.n}"
-            break
-    report("telescoping identity", tele_ok, tele_detail)
+    bad = next((f"first failure at n={c.n}" for total, c in
+                zip(_telescoping_sums(quotients, upto), convs) if total != c.value), "")
+    report("telescoping identity", not bad, bad)
 
     matrix = convergents_matrix(quotients, upto)
     fast = convergents_fast(quotients, upto)
@@ -209,18 +227,13 @@ def _cmd_verify(args, out) -> int:
 
     if upto >= 1 and not quotients.terminated:
         rows = probe_table(spec, convs, budget)
-        bounds_ok, detail = True, ""
-        for r in rows[1:]:  # classical bounds hold from the second convergent
-            if not (r.lower_bound_ok and r.upper_bound_ok):
-                bounds_ok, detail = False, f"first failure at n={r.display_n}"
-                break
-        report("residual bounds", bounds_ok, detail)
-        env_ok, detail = True, ""
-        for r in rows:
-            if r.envelope_ok is False:
-                env_ok, detail = False, f"violated at n={r.display_n}"
-                break
-        report("sine envelope", env_ok, detail)
+        # classical bounds hold from the second convergent
+        bad = next((f"first failure at n={r.display_n}" for r in rows[1:]
+                    if not (r.lower_bound_ok and r.upper_bound_ok)), "")
+        report("residual bounds", not bad, bad)
+        bad = next((f"violated at n={r.display_n}" for r in rows
+                    if r.envelope_ok is False), "")
+        report("sine envelope", not bad, bad)
 
     return 0 if failures == 0 else 1
 

@@ -24,6 +24,7 @@ from .reals import (
     CertifiedReal,
     ConstantSpec,
     PrecisionBudget,
+    _floor_log10,
     escalate,
     eval_constant,
     exact_value,
@@ -70,22 +71,18 @@ class MeasureRow:
     lagrange: Decimal | None
 
 
-def _error_interval(alpha: ConstantSpec, conv: Convergent,
-                    budget: PrecisionBudget) -> CertifiedReal:
-    enclosure = eval_constant(alpha, budget)
-    return abs(enclosure - Fraction(conv.p, conv.q))
-
-
 def mu_n(alpha: ConstantSpec, conv: Convergent,
          budget: PrecisionBudget) -> Decimal | None:
     """Certified -log|alpha - p/q| / log q, ceiled to six decimals.
 
-    None when q = 1.  Raises PrecisionError if the budget cannot separate
-    the error term from zero or pin all six decimals; callers escalate.
+    None when q = 1.  The logs run at the digits the error enclosure
+    carries, never above ``budget.working``.  Raises PrecisionError if
+    the budget cannot separate the error term from zero or pin all six
+    decimals; callers escalate.
     """
     if conv.q == 1:
         return None
-    err = _error_interval(alpha, conv, budget)
+    err = abs(eval_constant(alpha, budget) - Fraction(conv.p, conv.q))
     if err.hi == 0:
         raise ZeroDivisionError("exact convergent: approximation error is zero")
     if not err.certainly_positive():
@@ -94,13 +91,26 @@ def mu_n(alpha: ConstantSpec, conv: Convergent,
             f"at {budget.digits} digits"
         )
     scale = budget.working
+    if err.width:
+        # digits err carries, or _MU_WIDTH's if fewer, plus headroom for rounding
+        carried = max(_floor_log10(err.lo / err.width), -_floor_log10(_MU_WIDTH))
+        scale = min(scale, carried + 4)
     mu = -ln_certified(err, scale) / ln_certified(CertifiedReal.point(conv.q), scale)
     if mu.width >= _MU_WIDTH:
         raise PrecisionError("mu enclosure wider than half a display ulp")
     lo = _round_fraction(mu.lo, "ceil")
     hi = _round_fraction(mu.hi, "ceil")
     if lo != hi:
-        raise PrecisionError("mu enclosure straddles a display boundary")
+        # an exact error can put mu on the display point u/v itself, which no
+        # precision separates; err = q^(-u/v) with gcd(u, v) = 1 needs
+        # q = r^v, so v <= log2 q (and u >= 1, as err < 1)
+        u, v = Fraction(lo, _SCALE).as_integer_ratio()
+        if err.width or u < 1 or v >= conv.q.bit_length():
+            raise PrecisionError("mu enclosure straddles a display boundary")
+        # mu <= u/v  iff  err^v * q^u >= 1
+        a, b = err.lo.as_integer_ratio()
+        if a ** v * conv.q ** u < b ** v:
+            lo = hi
     return _as_decimal(lo)
 
 
@@ -114,12 +124,7 @@ def lagrange(q: int, mu) -> Decimal:
 
     def attempt(b: PrecisionBudget) -> Decimal:
         lnq = ln_certified(CertifiedReal.point(q), b.working)
-        value = exp_certified(
-            CertifiedReal(exponent * lnq.lo, exponent * lnq.hi)
-            if exponent >= 0
-            else CertifiedReal(exponent * lnq.hi, exponent * lnq.lo),
-            b.working,
-        )
+        value = exp_certified(lnq * exponent, b.working)
         lo = _round_fraction(value.lo, "half_even")
         hi = _round_fraction(value.hi, "half_even")
         if lo != hi:

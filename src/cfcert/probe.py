@@ -26,7 +26,6 @@ from .reals import (
     _floor_log10,
     escalate,
     eval_constant,
-    exact_value,
     pi_interval,
     sin_certified,
 )
@@ -81,29 +80,37 @@ def residual(alpha: ConstantSpec, conv: Convergent,
 
 def sine_probe(alpha: ConstantSpec, conv: Convergent,
                budget: PrecisionBudget) -> ProbeRow:
-    """Probe row for one convergent; precision escalates on the residual."""
-    # the residual loses ~log10(q) digits to the q*alpha product, so the
-    # enclosure of alpha gets them back before the sine sees the result
-    q_digits = _floor_log10(conv.q) + 1
-    inner = PrecisionBudget(budget.digits + q_digits + 4, budget.guard, budget.cap)
-    eps = escalate(partial(residual, alpha, conv), inner)
+    """Probe row for one convergent, each column to ``budget.working``
+    significant digits: the residual escalates until it holds them, and
+    the sines take the budget shifted by the leading zeros of |eps|.
+    """
+    def attempt(b: PrecisionBudget) -> CertifiedReal:
+        eps = residual(alpha, conv, b)
+        # width <= |eps| 10^-(working+1): below 10^-working of its leading digit
+        if eps.width * 10 ** (budget.working + 1) > abs(eps).lo:
+            raise PrecisionError(f"residual for {conv.p}/{conv.q} holds fewer "
+                                 f"than {budget.working} significant digits")
+        return eps
+
+    eps = escalate(attempt, budget)
     abs_eps = abs(eps)
+    lead = max(0, -_floor_log10(abs_eps.lo)) if abs_eps.lo else 0
+    sine_budget = replace(budget, digits=budget.digits + lead)
 
-    scale = budget.working + 8
-    pi = pi_interval(scale)
-    sin_reduced = abs(sin_certified(pi * eps, budget))
-    sin_unscaled = abs(sin_certified(eps, budget))
-
+    direct = alpha == PiPower(2, 1)
+    # pi^3 * q needs log10(q) more digits of pi than pi * eps, and 2 for 3 pi^2
+    q_digits = _floor_log10(conv.q) + 1 if direct else 0
+    pi = pi_interval(sine_budget.working + q_digits + 2)
+    sin_reduced = abs(sin_certified(pi * eps, sine_budget))
+    sin_unscaled = abs(sin_certified(eps, sine_budget))
     sin_direct = None
-    if alpha == PiPower(2, 1):
-        pi_cubed = pi_interval(scale + q_digits)
-        pi_cubed = CertifiedReal(pi_cubed.lo ** 3, pi_cubed.hi ** 3)
-        sin_direct = abs(sin_certified(pi_cubed * conv.q, budget))
+    if direct:
+        pi_cubed = CertifiedReal(pi.lo ** 3, pi.hi ** 3)
+        sin_direct = abs(sin_certified(pi_cubed * conv.q, sine_budget))
 
     envelope = None
-    half_pi_lo = pi.lo / 2
-    if abs_eps.hi <= half_pi_lo:
-        envelope = envelope_check(eps)
+    if abs_eps.hi <= pi.lo / 2:
+        envelope = _envelope_holds(abs_eps, sin_unscaled, pi)
     return ProbeRow(conv.n + 1, eps, abs_eps, sin_direct, sin_reduced,
                     sin_unscaled, envelope_ok=envelope)
 
@@ -120,26 +127,24 @@ def envelope_check(z: CertifiedReal, budget: PrecisionBudget | None = None) -> b
     if z.is_zero():
         return True
     if budget is None:
-        # match the input's own resolution; sine will not accept a budget
-        # finer than the enclosure it is given
-        width = z.width
-        needed = 30 if width == 0 else max(30, -_floor_log10(width) - 2)
-        budget = PrecisionBudget(needed)
+        # the input's own resolution: sine accepts no budget finer than it
+        budget = PrecisionBudget(
+            max(30, -_floor_log10(z.width) - 2) if z.width else 30)
     scale = budget.working + 8
     pi = pi_interval(scale)
     abs_z = abs(z)
     slack = abs_z.width + Fraction(4, 10 ** scale)
     if abs_z.hi > pi.hi / 2 + slack:
         raise PrecisionError("envelope constants are only valid up to pi/2")
+    return _envelope_holds(abs_z, abs(sin_certified(z, budget)), pi)
 
-    sin_abs = abs(sin_certified(z, budget))
+
+def _envelope_holds(abs_z: CertifiedReal, sin_abs: CertifiedReal,
+                    pi: CertifiedReal) -> bool:
+    """False only if (2/pi)|z| <= |sin z| <= |z| is certainly violated."""
     scaled = abs_z * CertifiedReal(Fraction(2) / pi.hi, Fraction(2) / pi.lo)
     # certified violation tests; both inequalities are theorems on the domain
-    if scaled.lo > sin_abs.hi:
-        return False
-    if sin_abs.lo > abs_z.hi:
-        return False
-    return True
+    return not (scaled.lo > sin_abs.hi or sin_abs.lo > abs_z.hi)
 
 
 def bound_check(alpha: ConstantSpec, rows: list[ProbeRow],

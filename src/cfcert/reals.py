@@ -383,25 +383,6 @@ def _atan_inv_fx(m: int, scale: int) -> tuple[int, int]:
     return lo - 2, hi + 2
 
 
-def _atanh_inv_fx(m: int, scale: int) -> tuple[int, int]:
-    """atanh(1/m) for integer m >= 2, all-positive series."""
-    s = 10 ** scale
-    power = m
-    m2 = m * m
-    k = 0
-    lo = hi = 0
-    while True:
-        term = s // ((2 * k + 1) * power)
-        if term == 0:
-            break
-        lo += term
-        hi += term + 1
-        power *= m2
-        k += 1
-    # geometric tail: sum of omitted terms < (1 ulp) * m^2/(m^2-1) < 2 ulps
-    return lo, hi + 2
-
-
 @lru_cache(maxsize=128)
 def _pi_fx(scale: int) -> tuple[int, int]:
     """Machin: pi = 16*arctan(1/5) - 4*arctan(1/239), directed rounding."""
@@ -411,22 +392,6 @@ def _pi_fx(scale: int) -> tuple[int, int]:
     lo = 16 * a5[0] - 4 * a239[1]
     hi = 16 * a5[1] - 4 * a239[0]
     return _pair_rescale((lo, hi), s, scale)
-
-
-@lru_cache(maxsize=128)
-def _ln10_fx(scale: int) -> tuple[int, int]:
-    # ln 10 = 3 ln 2 + ln(5/4) = 6 atanh(1/3) + 2 atanh(1/9)
-    s = scale + 8
-    a3 = _atanh_inv_fx(3, s)
-    a9 = _atanh_inv_fx(9, s)
-    return _pair_rescale((6 * a3[0] + 2 * a9[0], 6 * a3[1] + 2 * a9[1]), s, scale)
-
-
-@lru_cache(maxsize=128)
-def _ln2_fx(scale: int) -> tuple[int, int]:
-    s = scale + 8
-    a3 = _atanh_inv_fx(3, s)
-    return _pair_rescale((2 * a3[0], 2 * a3[1]), s, scale)
 
 
 # -- Taylor series on fixed-point pairs --------------------------------------
@@ -472,7 +437,7 @@ def _exp_series_fx(t: tuple[int, int], scale: int) -> tuple[int, int]:
 
 
 def _atanh_series_fx(z: tuple[int, int], scale: int) -> tuple[int, int]:
-    """atanh on a pair enclosing z, 0 <= z <= 0.7 (term ratio <= 0.49)."""
+    """atanh on a pair enclosing z, |z| <= 1/3 (term ratio <= 1/9)."""
     z2 = _pair_mul(z, z, scale)
     power = z
     lo, hi = z
@@ -486,27 +451,36 @@ def _atanh_series_fx(z: tuple[int, int], scale: int) -> tuple[int, int]:
     return lo - _SLACK, hi + _SLACK
 
 
+@lru_cache(maxsize=128)
+def _ln2_fx(scale: int) -> tuple[int, int]:
+    """ln 2 = 2 atanh(1/3)."""
+    s = scale + 8
+    at = _atanh_series_fx(_fx_bounds(Fraction(1, 3), s), s)
+    return _pair_rescale((2 * at[0], 2 * at[1]), s, scale)
+
+
 # ---------------------------------------------------------------------------
 # point evaluations built on the series
 # ---------------------------------------------------------------------------
 
 def _ln_point_fx(x: Fraction, scale: int) -> tuple[int, int]:
-    """Natural log of an exact positive rational, as a directed pair."""
+    """Natural log of an exact positive rational, as a directed pair.
+
+    x = 2^k * m with m in [2/3, 4/3), so ln x = k ln 2 + 2 atanh(z) with
+    z = (m - 1)/(m + 1) and |z| <= 1/5.
+    """
     if x <= 0:
         raise ValueError("ln of non-positive value")
     s = scale + 8
-    # decimal shift so the mantissa sits in [0.5, 5): |z| <= 2/3 below
-    k = _floor_log10(2 * x)
-    m = x / Fraction(10) ** k
+    # bit lengths put 3x/2 within a factor 2 of 2^k, so m lies in (1/3, 4/3)
+    k = (3 * x.numerator).bit_length() - (2 * x.denominator).bit_length()
+    m = x / Fraction(2) ** k
+    if m < Fraction(2, 3):
+        k, m = k - 1, 2 * m
     z = (m - 1) / (m + 1)
-    sign = 1
-    if z < 0:
-        z, sign = -z, -1
     at = _atanh_series_fx(_fx_bounds(z, s), s)
-    if sign < 0:
-        at = (-at[1], -at[0])
-    l10 = _ln10_fx(s)
-    kl = (k * l10[0], k * l10[1]) if k >= 0 else (k * l10[1], k * l10[0])
+    l2 = _ln2_fx(s)
+    kl = (k * l2[0], k * l2[1]) if k >= 0 else (k * l2[1], k * l2[0])
     return _pair_rescale((2 * at[0] + kl[0], 2 * at[1] + kl[1]), s, scale)
 
 
@@ -583,6 +557,7 @@ def eval_constant(spec: ConstantSpec, budget: PrecisionBudget) -> CertifiedReal:
                                              budget.guard, budget.cap))
 
 
+@lru_cache(maxsize=16)
 def _eval_at(spec: ConstantSpec, scale: int) -> CertifiedReal:
     if isinstance(spec, PiPower):
         pi = pi_interval(scale)

@@ -4,11 +4,14 @@ import io
 import re
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 import cfcert.cli as cli
-from cfcert import PrecisionError
+from cfcert import CertifiedReal, PrecisionError
 
 from reference_data import PI2_MEASURE_TABLE, PI2_PLOT_COORDS, PI2_QUOTIENTS_27
 
@@ -75,6 +78,15 @@ class TestMeasureCommand:
         code_b, out_b = run_cli("measure", "pi2", "--terms", "5", "--format", "csv")
         assert (code_a, out_a) == (code_b, out_b)
 
+    def test_exact_mu_on_display_point(self):
+        # row 3 is 1/10 and |0.101 - 1/10| = 10^-3, so mu is exactly 3
+        start = time.perf_counter()
+        code, out = run_cli("measure", "lit:0.101", "--rows", "3")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert out.splitlines()[3].split() == ["3", "1", "10", "3.000000",
+                                               "10.000000"]
+
 
 class TestProbeCommand:
     def test_csv_shape_and_flags(self):
@@ -85,6 +97,26 @@ class TestProbeCommand:
         assert len(lines) == 8  # header + 7 rows (successor consumed)
         for line in lines[2:]:
             assert line.endswith("True,True,True")
+
+    def test_rows_beyond_digits_match_oracle(self):
+        # from row ~10 on |eps| is below 10^-digits
+        code, out = run_cli("probe", "pi2", "--rows", "50", "--digits", "5",
+                            "--format", "csv")
+        assert code == 0
+        _, convs = run_cli("convergents", "pi2", "--terms", "49", "--format", "csv")
+        rows = out.splitlines()[1:]
+        assert len(rows) == 49
+        with mp.workdps(200):
+            for row, conv in zip(rows, convs.splitlines()[1:]):
+                _, p, q = (int(x) for x in conv.split(","))
+                n, eps, direct, reduced, unscaled, *flags = row.split(",")
+                e = q * mp.pi ** 2 - p
+                for text, ref in ((eps, e),
+                                  (direct, abs(mp.sin(mp.pi ** 3 * q))),
+                                  (reduced, abs(mp.sin(mp.pi * e))),
+                                  (unscaled, abs(mp.sin(e)))):
+                    assert abs(mp.mpf(text) - ref) <= abs(ref) * mp.mpf("1e-6"), n
+                assert flags == ["True"] * 3, n
 
 
 class TestVerifyCommand:
@@ -100,10 +132,44 @@ class TestVerifyCommand:
         assert "period [2] after preperiod 1" in out
         assert "FAIL" not in out
 
+    def test_rows_beyond_digits_all_pass(self):
+        code, out = run_cli("verify", "pi2", "--terms", "50", "--digits", "5")
+        assert code == 0
+        assert out.count("PASS") == 5
+        assert "FAIL" not in out
+
     def test_literal_notes_termination(self):
         code, out = run_cli("verify", "lit:0.5", "--terms", "10")
         assert code == 0
         assert "terminates after 2 terms" in out
+
+
+class TestCertifiedProbeFormat:
+    def test_enclosure_below_float_range(self):
+        x = Fraction(123456789, 10 ** 408)
+        tiny = Fraction(1, 10 ** 420)
+        assert cli._sci6(CertifiedReal(x - tiny, x + tiny), 7) == "1.234568e-400"
+
+    def test_too_wide_enclosure_names_row(self):
+        # the endpoints round to 1.234565e-03 and 1.234566e-03
+        eps = CertifiedReal(Fraction(12345654, 10 ** 10), Fraction(12345656, 10 ** 10))
+        with pytest.raises(PrecisionError, match="row 7"):
+            cli._sci6(eps, 7)
+
+    def test_sign_zero_and_ties(self):
+        def sci6(x):
+            return cli._sci6(CertifiedReal.point(x), 1)
+        assert cli._sci6(None, 1) == ""
+        assert sci6(Fraction(0)) == "0.000000e+00"
+        assert sci6(Fraction(-1, 3)) == "-3.333333e-01"
+        assert sci6(Fraction(-2, 3 * 10 ** 5)) == "-6.666667e-06"
+        # exact ties round half to even, with a carry into the exponent
+        assert sci6(Fraction(10000005, 10 ** 7)) == "1.000000e+00"
+        assert sci6(Fraction(10000015, 10 ** 7)) == "1.000002e+00"
+        assert sci6(Fraction(-99999995, 10 ** 7)) == "-1.000000e+01"
+        # and match float formatting wherever a float holds the value
+        for x in (1.5, -2.5e-300, 6.02214076e23, 9.9999995e-5):
+            assert sci6(Fraction(x)) == f"{x:.6e}"
 
 
 class TestBenchCommand:

@@ -5,7 +5,7 @@ from math import isqrt
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfcert import (
@@ -185,6 +185,13 @@ class TestSine:
 class TestLogExp:
     @settings(max_examples=25, deadline=None)
     @given(st.fractions(min_value=Fraction(1, 1000), max_value=1000))
+    # the ends of the mantissa range [2/3, 4/3) of the ln reduction
+    @example(Fraction(2, 3) * Fraction(2) ** -40)
+    @example(Fraction(2, 3))
+    @example(Fraction(2, 3) * Fraction(2) ** 40)
+    @example(Fraction(4, 3) * Fraction(2) ** -40)
+    @example(Fraction(4, 3))
+    @example(Fraction(4, 3) * Fraction(2) ** 40)
     def test_ln_matches_oracle(self, x):
         if x <= 0:
             return
