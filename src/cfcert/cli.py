@@ -11,7 +11,6 @@ import argparse
 import random
 import sys
 import time
-from fractions import Fraction
 
 from .cf import expand, surd_expand
 from .convergents import (
@@ -25,7 +24,7 @@ from .convergents import (
 )
 from .errors import PrecisionError
 from .measure import measure_table
-from .probe import probe_table
+from .probe import _residual_flags, probe_table
 from .reals import (
     CertifiedReal,
     ConstantSpec,
@@ -177,7 +176,9 @@ def _sci6(iv: CertifiedReal | None, row: int) -> str:
     texts = []
     for x in (iv.lo, iv.hi):
         e = _floor_log10(abs(x)) if x else 0
-        digits = round(abs(x) / Fraction(10) ** (e - 6))  # in [10^6, 10^7]
+        n, d = abs(x.numerator), x.denominator * 10 ** max(0, e - 6)
+        digits, r = divmod(n * 10 ** max(0, 6 - e), d)  # in [10^6, 10^7)
+        digits += 2 * r > d or (2 * r == d and digits % 2)  # half to even
         if digits == 10 ** 7:
             digits, e = 10 ** 6, e + 1
         texts.append(f"{'-' if x < 0 else ''}{digits // 10 ** 6}."
@@ -194,12 +195,10 @@ def _cmd_verify(args, out) -> int:
     quotients = expand(spec, args.terms, budget)
     n_avail = min(args.terms, quotients.certified_count)
     upto = n_avail - 1
-    failures = 0
+    results = []
 
     def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if not ok:
-            failures += 1
+        results.append(ok)
         suffix = f" ({detail})" if detail else ""
         _print(out, f"{name}: {'PASS' if ok else 'FAIL'}{suffix}")
 
@@ -226,16 +225,16 @@ def _cmd_verify(args, out) -> int:
     report("engine equivalence", engines_ok)
 
     if upto >= 1 and not quotients.terminated:
-        rows = probe_table(spec, convs, budget)
-        # classical bounds hold from the second convergent
-        bad = next((f"first failure at n={r.display_n}" for r in rows[1:]
-                    if not (r.lower_bound_ok and r.upper_bound_ok)), "")
+        flags = [_residual_flags(spec, c, d, budget) for c, d in zip(convs, convs[1:])]
+        # row n is convs[n - 1]; classical bounds hold from the second convergent
+        bad = next((f"first failure at n={n}" for n, (lower, upper, _) in
+                    enumerate(flags[1:], 2) if not (lower and upper)), "")
         report("residual bounds", not bad, bad)
-        bad = next((f"violated at n={r.display_n}" for r in rows
-                    if r.envelope_ok is False), "")
+        bad = next((f"violated at n={n}" for n, (*_, envelope) in enumerate(flags, 1)
+                    if envelope is False), "")
         report("sine envelope", not bad, bad)
 
-    return 0 if failures == 0 else 1
+    return 0 if all(results) else 1
 
 
 def _bench_quotients(args) -> list[int]:

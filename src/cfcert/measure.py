@@ -12,6 +12,7 @@ nothing about the infimum mu(alpha).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -36,19 +37,6 @@ _PLACES = 6
 _SCALE = 10 ** _PLACES
 # certification threshold: half an ulp of the displayed six decimals
 _MU_WIDTH = Fraction(5, 10 ** (_PLACES + 1))
-
-
-def _round_fraction(x: Fraction, mode: str) -> int:
-    """x * 10^6 rounded to an integer: 'ceil' or 'half_even'."""
-    t = x * _SCALE
-    q, r = divmod(t.numerator, t.denominator)
-    if mode == "ceil":
-        return q + (1 if r else 0)
-    if mode == "half_even":
-        if 2 * r > t.denominator or (2 * r == t.denominator and q % 2):
-            return q + 1
-        return q
-    raise ValueError(f"unknown rounding mode {mode!r}")
 
 
 def _as_decimal(scaled: int) -> Decimal:
@@ -98,8 +86,7 @@ def mu_n(alpha: ConstantSpec, conv: Convergent,
     mu = -ln_certified(err, scale) / ln_certified(CertifiedReal.point(conv.q), scale)
     if mu.width >= _MU_WIDTH:
         raise PrecisionError("mu enclosure wider than half a display ulp")
-    lo = _round_fraction(mu.lo, "ceil")
-    hi = _round_fraction(mu.hi, "ceil")
+    lo, hi = math.ceil(mu.lo * _SCALE), math.ceil(mu.hi * _SCALE)
     if lo != hi:
         # an exact error can put mu on the display point u/v itself, which no
         # precision separates; err = q^(-u/v) with gcd(u, v) = 1 needs
@@ -125,8 +112,7 @@ def lagrange(q: int, mu) -> Decimal:
     def attempt(b: PrecisionBudget) -> Decimal:
         lnq = ln_certified(CertifiedReal.point(q), b.working)
         value = exp_certified(lnq * exponent, b.working)
-        lo = _round_fraction(value.lo, "half_even")
-        hi = _round_fraction(value.hi, "half_even")
+        lo, hi = round(value.lo * _SCALE), round(value.hi * _SCALE)
         if lo != hi:
             raise PrecisionError("lagrange value sits on a rounding boundary")
         return _as_decimal(lo)

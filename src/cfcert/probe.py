@@ -36,7 +36,7 @@ class ProbeRow:
     """Residual and sine-probe enclosures for one convergent.
 
     ``sin_direct`` is present only for pi^2 (the direct form needs the
-    pi^3 argument); bound flags stay None until ``bound_check`` fills
+    pi^3 argument); bound flags stay None until ``probe_table`` fills
     them from the successor convergent.
     """
 
@@ -84,19 +84,8 @@ def sine_probe(alpha: ConstantSpec, conv: Convergent,
     significant digits: the residual escalates until it holds them, and
     the sines take the budget shifted by the leading zeros of |eps|.
     """
-    def attempt(b: PrecisionBudget) -> CertifiedReal:
-        eps = residual(alpha, conv, b)
-        # width <= |eps| 10^-(working+1): below 10^-working of its leading digit
-        if eps.width * 10 ** (budget.working + 1) > abs(eps).lo:
-            raise PrecisionError(f"residual for {conv.p}/{conv.q} holds fewer "
-                                 f"than {budget.working} significant digits")
-        return eps
-
-    eps = escalate(attempt, budget)
+    eps, sine_budget = _working_residual(alpha, conv, budget)
     abs_eps = abs(eps)
-    lead = max(0, -_floor_log10(abs_eps.lo)) if abs_eps.lo else 0
-    sine_budget = replace(budget, digits=budget.digits + lead)
-
     direct = alpha == PiPower(2, 1)
     # pi^3 * q needs log10(q) more digits of pi than pi * eps, and 2 for 3 pi^2
     q_digits = _floor_log10(conv.q) + 1 if direct else 0
@@ -113,6 +102,30 @@ def sine_probe(alpha: ConstantSpec, conv: Convergent,
         envelope = _envelope_holds(abs_eps, sin_unscaled, pi)
     return ProbeRow(conv.n + 1, eps, abs_eps, sin_direct, sin_reduced,
                     sin_unscaled, envelope_ok=envelope)
+
+
+def _working_residual(alpha: ConstantSpec, conv: Convergent,
+                      budget: PrecisionBudget) -> tuple[CertifiedReal, PrecisionBudget]:
+    """eps to ``budget.working`` significant digits, and the budget its sines take."""
+    def attempt(b: PrecisionBudget) -> CertifiedReal:
+        eps = residual(alpha, conv, b)
+        # width <= |eps| 10^-(working+1): below 10^-working of its leading digit
+        if eps.width * 10 ** (budget.working + 1) > abs(eps).lo:
+            raise PrecisionError(f"residual for {conv.p}/{conv.q} holds fewer "
+                                 f"than {budget.working} significant digits")
+        return eps
+
+    eps = escalate(attempt, budget)
+    lead = 0 if eps.is_zero() else max(0, -_floor_log10(abs(eps).lo))
+    return eps, replace(budget, digits=budget.digits + lead)
+
+
+def _residual_flags(alpha: ConstantSpec, cur: Convergent, nxt: Convergent,
+                    budget: PrecisionBudget) -> tuple[bool, bool, bool]:
+    """``probe_table``'s (lower, upper, envelope) flags for ``cur``, from eps
+    and |sin eps| alone; a convergent's |eps| < 1 is inside the envelope's domain."""
+    eps, sine_budget = _working_residual(alpha, cur, budget)
+    return (*_bound_flags(abs(eps), cur, nxt), envelope_check(eps, sine_budget))
 
 
 def envelope_check(z: CertifiedReal, budget: PrecisionBudget | None = None) -> bool:

@@ -405,8 +405,9 @@ _STOP = 8
 _SLACK = 64
 
 
-def _sin_series_fx(t: tuple[int, int], scale: int) -> tuple[int, int]:
-    """sin on a pair enclosing t, |t| <= 1.6 (term ratio <= 0.43)."""
+def _sin_point_fx(x: Fraction, scale: int) -> tuple[int, int]:
+    """sin of an exact rational, |x| <= 1.6 (term ratio <= 0.43)."""
+    t = _fx_bounds(x, scale)
     neg_t2 = _pair_mul(t, t, scale)
     neg_t2 = (-neg_t2[1], -neg_t2[0])
     term = t
@@ -504,6 +505,13 @@ def _exp_point_fx(y: Fraction, scale: int) -> tuple[int, int]:
     return _pair_rescale(e, s, scale)
 
 
+def _increasing_fx(kernel: Callable, x: CertifiedReal, scale: int) -> CertifiedReal:
+    """Increasing f over x from its directed point kernel, run once for a point."""
+    lo = kernel(x.lo, scale)
+    hi = lo if x.hi == x.lo else kernel(x.hi, scale)
+    return CertifiedReal.from_fixed(lo[0], hi[1], scale)
+
+
 def _sqrt_int_fx(d: int, scale: int) -> tuple[int, int]:
     r = isqrt(d * 10 ** (2 * scale))
     return r, r + 1
@@ -593,9 +601,7 @@ def _sin_monotone(iv: CertifiedReal, scale: int) -> CertifiedReal:
     """
     if not (-_SIN_DOMAIN <= iv.lo and iv.hi <= _SIN_DOMAIN):
         raise PrecisionError("sine argument outside reduced range")
-    lo = _sin_series_fx(_fx_bounds(iv.lo, scale), scale)[0]
-    hi = _sin_series_fx(_fx_bounds(iv.hi, scale), scale)[1]
-    return CertifiedReal(Fraction(lo, 10 ** scale), Fraction(hi, 10 ** scale))
+    return _increasing_fx(_sin_point_fx, iv, scale)
 
 
 def sin_certified(x: CertifiedReal, budget: PrecisionBudget) -> CertifiedReal:
@@ -654,13 +660,9 @@ def ln_certified(x: CertifiedReal, scale: int) -> CertifiedReal:
     """Enclosure of ln over a certainly-positive interval."""
     if not x.certainly_positive():
         raise PrecisionError("ln needs an interval certified positive")
-    lo = _ln_point_fx(x.lo, scale)[0]
-    hi = _ln_point_fx(x.hi, scale)[1]
-    return CertifiedReal.from_fixed(lo, hi, scale)
+    return _increasing_fx(_ln_point_fx, x, scale)
 
 
 def exp_certified(y: CertifiedReal, scale: int) -> CertifiedReal:
     """Enclosure of exp over an interval."""
-    lo = _exp_point_fx(y.lo, scale)[0]
-    hi = _exp_point_fx(y.hi, scale)[1]
-    return CertifiedReal.from_fixed(lo, hi, scale)
+    return _increasing_fx(_exp_point_fx, y, scale)

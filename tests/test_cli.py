@@ -11,6 +11,7 @@ import mpmath as mp
 import pytest
 
 import cfcert.cli as cli
+import cfcert.probe as probe
 from cfcert import CertifiedReal, PrecisionError
 
 from reference_data import PI2_MEASURE_TABLE, PI2_PLOT_COORDS, PI2_QUOTIENTS_27
@@ -142,6 +143,22 @@ class TestVerifyCommand:
         code, out = run_cli("verify", "lit:0.5", "--terms", "10")
         assert code == 0
         assert "terminates after 2 terms" in out
+
+    def test_one_sine_per_row(self, monkeypatch):
+        # verify prints no sine column: only |sin eps_n| for the envelope,
+        # never sin(pi eps_n) or sin(pi^3 q_n)
+        args = []
+        original = probe.sin_certified
+
+        def counted(x, budget):
+            args.append(x)
+            return original(x, budget)
+
+        monkeypatch.setattr(probe, "sin_certified", counted)
+        code, out = run_cli("verify", "pi2", "--terms", "30")
+        assert code == 0 and "FAIL" not in out
+        assert len(args) == 29  # rows 1..29, each checked against its successor
+        assert all(abs(x).hi < 1 for x in args)
 
 
 class TestCertifiedProbeFormat:

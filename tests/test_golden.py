@@ -1,0 +1,68 @@
+"""Golden CLI output: stdout (as sha256) and exit code per command.
+
+These pin the bytes that measure, probe and verify print, so a refactor
+that should not change the output is held to that.  After a deliberate
+output change, print the new digests with
+
+    PYTHONPATH=src:tests python -c "import test_golden; test_golden.dump()"
+
+and say in the change why each one moved.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+import cfcert.cli as cli
+
+GOLDEN = {
+    "measure pi2 --rows 60":
+        (0, "38fed7ddb9c4c7e45ab94012c33982b0c8a12bf97109f75db49932ddeec96919"),
+    "probe pi2 --rows 110 --format csv":
+        (0, "4748325b56378f298274e9419be32146911e2a7e10a39b16b328722689b08e3f"),
+    "verify pi2 --terms 110":
+        (0, "76e43457583bd002de31a2db693d7b90640c9826f8c0bd843a0ec8b5cc59597f"),
+    "measure pi^3/4 --rows 30 --format csv":
+        (0, "987344c331b144e602065e8758c6d37860a567ba582d0af2eed3f79098724581"),
+    "probe pi^3/4 --rows 30":
+        (0, "7ecb7faf1af64109e12f9bc125c95a34de32de42861d139d4b0b3dd7fc27bfdf"),
+    "verify pi^3/4 --terms 30":
+        (0, "76e43457583bd002de31a2db693d7b90640c9826f8c0bd843a0ec8b5cc59597f"),
+    "measure surd:1,2,69,5 --rows 30":
+        (0, "548cae5b31c5c1b5c54e57949cdaad2d04eb6748718456bf7a720ac2fef0e3a3"),
+    "probe sqrt:199 --rows 30 --format csv":
+        (0, "6e02376768b3762861bd50e76622f63d4e7470241513dc79de4451e0dbc058d8"),
+    "verify sqrt:199 --terms 30":
+        (0, "24052e158498c62b0c203f3ad776cba0d35c0e70f2e6b2a57f0a8d4c8026a44d"),
+    "measure lit:0.123456789 --rows 12 --format csv":
+        (0, "b7f5755d5ecf4f7bf67ae993f6ddb24c4b37d349cd968b5b6abc18dcb862fb6b"),
+    "probe lit:0.123456789 --rows 12":
+        (0, "05e559e9c262aaebfc8148a472f6c604a785fde19c85b84c7884e34dddf20c44"),
+    "verify lit:0.123456789 --terms 12":
+        (0, "bcfa1ec1292aea4a09de79a8512bfa42e6f8ab47274c306d04e84a147756b5fb"),
+    "verify pi2 --terms 40 --digits 5":
+        (0, "76e43457583bd002de31a2db693d7b90640c9826f8c0bd843a0ec8b5cc59597f"),
+    "measure lit:0.101 --rows 3":
+        (0, "8b246eb15e401c0698fdee9d72f2fc81121bb6f02cc3456d444251841c963b73"),
+    # the precision cap: exit 1 before any row is printed
+    "verify pi2 --terms 10 --digits 999990":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+def run_digest(command: str) -> tuple[int, str]:
+    out = io.StringIO()
+    code = cli.run(command.split(), out=out)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def dump() -> None:
+    for command in GOLDEN:
+        code, digest = run_digest(command)
+        print(f'    "{command}":\n        ({code}, "{digest}"),')
+
+
+@pytest.mark.parametrize("command", GOLDEN)
+def test_stdout_and_exit_code(command):
+    assert run_digest(command) == GOLDEN[command]

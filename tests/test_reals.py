@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cfcert.reals as reals
 from cfcert import (
     CertifiedReal,
     DecimalLiteral,
@@ -211,6 +212,27 @@ class TestLogExp:
         back = exp_certified(ln_certified(x, 40), 40)
         assert back.contains(7)
         assert back.width < Fraction(1, 10 ** 30)
+
+    @pytest.mark.parametrize("evaluate, kernel, x", [
+        (lambda x: ln_certified(x, 40), "_ln_point_fx", Fraction(6462326841763)),
+        (lambda x: exp_certified(x, 40), "_exp_point_fx", Fraction(-7, 3)),
+        (lambda x: sin_certified(x, PrecisionBudget(30)), "_sin_point_fx",
+         Fraction(1, 3)),
+    ], ids=["ln", "exp", "sin"])
+    def test_point_runs_kernel_once(self, monkeypatch, evaluate, kernel, x):
+        calls = []
+        original = getattr(reals, kernel)
+
+        def counted(v, scale):
+            calls.append(scale)
+            return original(v, scale)
+
+        monkeypatch.setattr(reals, kernel, counted)
+        out = evaluate(CertifiedReal.point(x))
+        assert len(calls) == 1
+        # the same enclosure as the kernel's lower and upper bounds at x
+        lo, hi = original(x, calls[0])
+        assert out == CertifiedReal.from_fixed(lo, hi, calls[0])
 
 
 class TestIntervalArithmetic:
