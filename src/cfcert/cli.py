@@ -23,7 +23,7 @@ from .convergents import (
     final_convergent,
 )
 from .errors import PrecisionError
-from .measure import measure_table
+from .measure import _mu_rows, measure_table
 from .probe import _residual_flags, probe_table
 from .reals import (
     CertifiedReal,
@@ -123,6 +123,11 @@ def _measure_text(rows, out) -> None:
 
 def _cmd_measure(args, out) -> int:
     spec = parse_constant(args.constant)
+    if args.format == "plot":
+        for r in _mu_rows(spec, args.terms, PrecisionBudget(args.digits)):
+            if r.mu is not None:
+                _print(out, f"({r.display_n},{r.mu})")
+        return 0
     rows = measure_table(spec, args.terms, PrecisionBudget(args.digits))
     if args.format == "csv":
         _print(out, "n,p,q,mu,lagrange")
@@ -130,10 +135,6 @@ def _cmd_measure(args, out) -> int:
             mu = "" if r.mu is None else str(r.mu)
             lag = "" if r.lagrange is None else str(r.lagrange)
             _print(out, f"{r.display_n},{r.p},{r.q},{mu},{lag}")
-    elif args.format == "plot":
-        for r in rows:
-            if r.mu is not None:
-                _print(out, f"({r.display_n},{r.mu})")
     else:
         _measure_text(rows, out)
     return 0
@@ -329,6 +330,10 @@ def run(argv: list[str] | None = None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # exact integers print at any size; the old limit is back on return
+    str_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if str_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         if args.terms < 1:
             raise ValueError("--terms must be >= 1")
@@ -339,6 +344,9 @@ def run(argv: list[str] | None = None, out=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if str_limit is not None:
+            sys.set_int_max_str_digits(str_limit)
 
 
 def main() -> None:

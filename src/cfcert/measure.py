@@ -13,7 +13,7 @@ nothing about the infimum mu(alpha).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
@@ -128,6 +128,13 @@ def measure_table(alpha: ConstantSpec, rows: int,
     Display index n is the 0-based convergent index plus one.  For exact
     rational constants the table stops at the terminating expansion.
     """
+    return [r if r.mu is None else replace(r, lagrange=lagrange(r.q, r.mu))
+            for r in _mu_rows(alpha, rows, budget)]
+
+
+def _mu_rows(alpha: ConstantSpec, rows: int,
+             budget: PrecisionBudget | None) -> list[MeasureRow]:
+    """``measure_table``'s rows without q^(mu_n - 2) where mu_n is present."""
     if rows < 1:
         raise ValueError("rows must be >= 1")
     budget = budget or PrecisionBudget(60)
@@ -148,6 +155,5 @@ def measure_table(alpha: ConstantSpec, rows: int,
             out.append(MeasureRow(conv.n + 1, conv.p, conv.q, None, None))
             continue
         mu = escalate(partial(mu_n, alpha, conv), budget)
-        out.append(MeasureRow(conv.n + 1, conv.p, conv.q, mu,
-                              lagrange(conv.q, mu)))
+        out.append(MeasureRow(conv.n + 1, conv.p, conv.q, mu, None))
     return out

@@ -13,8 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, isqrt
+from functools import partial
+from math import gcd, isqrt, log
 from typing import Callable, TypeVar
 
 from .errors import PrecisionError
@@ -358,40 +358,66 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-# -- alternating/positive integer series for the cached constants -----------
+# -- kept constants: one enclosure each of pi, ln 2 and every spec ---------
 
-def _atan_inv_fx(m: int, scale: int) -> tuple[int, int]:
-    """arctan(1/m) for integer m >= 2, alternating Gregory series."""
-    s = 10 ** scale
-    power = m
-    m2 = m * m
-    k = 0
-    lo = hi = 0
-    while True:
-        term = s // ((2 * k + 1) * power)
-        if term == 0:
-            break
-        if k % 2 == 0:
-            lo += term
-            hi += term + 1
-        else:
-            lo -= term + 1
-            hi -= term
-        power *= m2
-        k += 1
-    # remaining tail is below one ulp of the last computed magnitude
-    return lo - 2, hi + 2
+def _arc_inv_fx(m: int, sign: int, scale: int) -> tuple[int, int]:
+    """atan(1/m) for sign -1, atanh(1/m) for sign +1, integer m >= 2.
+
+    Binary splitting (Haible & Papanikolaou) sums the first n terms of
+    sign^k / ((2k+1) m^(2k+1)) exactly.  n makes the tail about one ulp: it
+    is below twice the first omitted term, as the terms alternate or shrink
+    by m^2 >= 4.
+    """
+    def split(a: int, b: int) -> tuple[int, int, int]:
+        # (q, d, t) with q = m^(2(b-a)) and
+        # sum_{a <= k < b} sign^(k-a) / ((2k+1) m^(2(k-a))) = t / (d q)
+        if b - a == 1:
+            return m * m, 2 * a + 1, m * m
+        c = (a + b) // 2
+        q1, d1, t1 = split(a, c)
+        q2, d2, t2 = split(c, b)
+        return q1 * q2, d1 * d2, t1 * d2 * q2 + sign ** (c - a) * d1 * t2
+
+    n = 1 + int(scale * log(10) / (2 * log(m)))
+    q, d, t = split(0, n)
+    num, den = t * 10 ** scale, m * d * q
+    tail = _ceil_div(2 * 10 ** scale, (2 * n + 1) * m * q)
+    return num // den - tail, _ceil_div(num, den) + tail
 
 
-@lru_cache(maxsize=128)
 def _pi_fx(scale: int) -> tuple[int, int]:
     """Machin: pi = 16*arctan(1/5) - 4*arctan(1/239), directed rounding."""
-    s = scale + 8
-    a5 = _atan_inv_fx(5, s)
-    a239 = _atan_inv_fx(239, s)
-    lo = 16 * a5[0] - 4 * a239[1]
-    hi = 16 * a5[1] - 4 * a239[0]
-    return _pair_rescale((lo, hi), s, scale)
+    a5 = _arc_inv_fx(5, -1, scale)
+    a239 = _arc_inv_fx(239, -1, scale)
+    return 16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0]
+
+
+def _ln2_fx(scale: int) -> tuple[int, int]:
+    """ln 2 = 2 atanh(1/3)."""
+    at = _arc_inv_fx(3, 1, scale)
+    return 2 * at[0], 2 * at[1]
+
+
+_KEPT: dict[tuple, tuple[int, tuple[int, int]]] = {}
+
+
+def _cell(scale: int, enclose: Callable[..., tuple[int, int]], *args) -> tuple[int, int]:
+    """(f, f + 1), f = floor(x 10^scale), for the irrational x that
+    ``enclose(*args, s)`` encloses at any scale s: x's one-ulp cell.
+
+    Cut from the one enclosure of x kept per process, recomputed at scale
+    max(2 * kept, scale + 8) when it cannot decide the cell.  x lies on no
+    grid point, so some scale decides, and no result depends on history.
+    """
+    kept, (lo, hi) = _KEPT.get((enclose, *args), (-1, (0, 0)))
+    while True:
+        if scale <= kept:
+            d = 10 ** (kept - scale)
+            if lo // d == hi // d:
+                return lo // d, lo // d + 1
+        kept = max(2 * kept, scale + 8)
+        lo, hi = enclose(*args, kept)
+        _KEPT[(enclose, *args)] = kept, (lo, hi)
 
 
 # -- Taylor series on fixed-point pairs --------------------------------------
@@ -452,14 +478,6 @@ def _atanh_series_fx(z: tuple[int, int], scale: int) -> tuple[int, int]:
     return lo - _SLACK, hi + _SLACK
 
 
-@lru_cache(maxsize=128)
-def _ln2_fx(scale: int) -> tuple[int, int]:
-    """ln 2 = 2 atanh(1/3)."""
-    s = scale + 8
-    at = _atanh_series_fx(_fx_bounds(Fraction(1, 3), s), s)
-    return _pair_rescale((2 * at[0], 2 * at[1]), s, scale)
-
-
 # ---------------------------------------------------------------------------
 # point evaluations built on the series
 # ---------------------------------------------------------------------------
@@ -480,7 +498,7 @@ def _ln_point_fx(x: Fraction, scale: int) -> tuple[int, int]:
         k, m = k - 1, 2 * m
     z = (m - 1) / (m + 1)
     at = _atanh_series_fx(_fx_bounds(z, s), s)
-    l2 = _ln2_fx(s)
+    l2 = _cell(s, _ln2_fx)
     kl = (k * l2[0], k * l2[1]) if k >= 0 else (k * l2[1], k * l2[0])
     return _pair_rescale((2 * at[0] + kl[0], 2 * at[1] + kl[1]), s, scale)
 
@@ -492,7 +510,7 @@ def _exp_point_fx(y: Fraction, scale: int) -> tuple[int, int]:
     s = scale + 12
     # y = j*ln2 + r with |r| <= 0.36 after round-to-nearest j
     j = int((y * 1_442_695 + Fraction(1, 2) * 1_000_000) // 1_000_000)
-    l2 = _ln2_fx(s)
+    l2 = _cell(s, _ln2_fx)
     r_lo = y - Fraction(j * l2[1] if j >= 0 else j * l2[0], 10 ** s)
     r_hi = y - Fraction(j * l2[0] if j >= 0 else j * l2[1], 10 ** s)
     pr = (_fx_bounds(r_lo, s)[0], _fx_bounds(r_hi, s)[1])
@@ -512,12 +530,7 @@ def _increasing_fx(kernel: Callable, x: CertifiedReal, scale: int) -> CertifiedR
     return CertifiedReal.from_fixed(lo[0], hi[1], scale)
 
 
-def _sqrt_int_fx(d: int, scale: int) -> tuple[int, int]:
-    r = isqrt(d * 10 ** (2 * scale))
-    return r, r + 1
-
-
-def _root_point_fx(x: Fraction, k: int, scale: int) -> tuple[int, int]:
+def _root_point_fx(x: Fraction, scale: int, k: int) -> tuple[int, int]:
     """Floor/ceil pair for the k-th root of an exact positive rational."""
     if x <= 0:
         raise ValueError("root of non-positive value")
@@ -531,58 +544,48 @@ def _root_point_fx(x: Fraction, k: int, scale: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def pi_interval(scale: int) -> CertifiedReal:
-    """Enclosure of pi with width below a few ulps at 10^-scale."""
-    return CertifiedReal.from_fixed(*_pi_fx(scale), scale)
+    """The one-ulp cell [f, f + 1] 10^-scale holding pi, f = floor(pi 10^scale)."""
+    return CertifiedReal.from_fixed(*_cell(scale, _pi_fx), scale)
 
 
 def eval_constant(spec: ConstantSpec, budget: PrecisionBudget) -> CertifiedReal:
     """Enclosure of the constant with width <= 10^-digits.
 
-    Starts a few digits above ``budget.working`` (more for high powers of
-    pi) and doubles the working precision under :func:`escalate` until
-    the enclosure is narrow enough.  Deterministic for a fixed (spec,
-    budget).  Raises PrecisionError if that would exceed the budget cap.
+    An exact spec gives its point; any other is irrational and gives its
+    one-ulp cell at scale ``budget.working + 8`` (plus |t| for pi^t/s),
+    fixed by (spec, budget) alone.  Raises PrecisionError if that scale
+    exceeds the budget cap.
     """
     exact = exact_value(spec)
     if exact is not None:
         return CertifiedReal.point(exact)
 
-    extra = 8 + (abs(spec.t) if isinstance(spec, PiPower) else 0)
-    if budget.working + extra > budget.cap:
+    scale = budget.working + 8 + (abs(spec.t) if isinstance(spec, PiPower) else 0)
+    if scale > budget.cap:
         raise PrecisionError(
             f"cannot evaluate {spec.describe()} to {budget.digits} digits "
             f"within precision cap {budget.cap}"
         )
-
-    def attempt(b: PrecisionBudget) -> CertifiedReal:
-        result = _eval_at(spec, b.working)
-        if result.width > Fraction(1, 10 ** budget.digits):
-            raise PrecisionError(
-                f"{spec.describe()} not certified to {budget.digits} digits")
-        return result
-
-    return escalate(attempt, PrecisionBudget(budget.digits + extra,
-                                             budget.guard, budget.cap))
+    return CertifiedReal.from_fixed(*_cell(scale, _spec_fx, spec), scale)
 
 
-@lru_cache(maxsize=16)
-def _eval_at(spec: ConstantSpec, scale: int) -> CertifiedReal:
+def _spec_fx(spec: ConstantSpec, scale: int) -> tuple[int, int]:
+    """Directed pair of an irrational spec at ``scale``, a few ulps wide."""
     if isinstance(spec, PiPower):
-        pi = pi_interval(scale)
         t = abs(spec.t)
-        # positive base: endpoint powers are directed automatically
-        powered = CertifiedReal(pi.lo ** t, pi.hi ** t).outward(scale)
-        if spec.s > 1:
-            lo = Fraction(_root_point_fx(powered.lo, spec.s, scale)[0], 10 ** scale)
-            hi = Fraction(_root_point_fx(powered.hi, spec.s, scale)[1], 10 ** scale)
-            powered = CertifiedReal(lo, hi)
+        # pi^t widens pi's one-ulp cell to t pi^(t-1) < 10^t ulps
+        pi = pi_interval(scale + t)
+        # positive base: endpoint powers and roots are directed automatically
+        x = _increasing_fx(partial(_root_point_fx, k=spec.s),
+                           CertifiedReal(pi.lo ** t, pi.hi ** t), scale)
         if spec.t < 0:
-            powered = powered.reciprocal()
-        return powered.outward(scale)
-    if isinstance(spec, Surd):
-        rt = CertifiedReal.from_fixed(*_sqrt_int_fx(spec.d, scale), scale)
-        return ((Fraction(spec.a) + rt * spec.b) / Fraction(spec.c)).outward(scale)
-    raise TypeError(f"unsupported constant spec: {spec!r}")
+            x = x.reciprocal()
+    elif isinstance(spec, Surd):
+        rt = CertifiedReal.from_fixed(*_root_point_fx(spec.d, scale, 2), scale)
+        x = (Fraction(spec.a) + rt * spec.b) / Fraction(spec.c)
+    else:
+        raise TypeError(f"unsupported constant spec: {spec!r}")
+    return _fx_bounds(x.lo, scale)[0], _fx_bounds(x.hi, scale)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -628,28 +631,25 @@ def sin_certified(x: CertifiedReal, budget: PrecisionBudget) -> CertifiedReal:
     k = round(x.midpoint / two_pi.midpoint)
     r = x - two_pi * k if k else x
 
-    half_lo = pi.lo / 2
-    half_hi = pi.hi / 2
-    if -half_lo <= r.lo and r.hi <= half_lo:
-        return _sin_monotone(r, scale)
-    if r.lo >= half_hi:
-        return _sin_monotone(pi - r, scale)
-    if r.hi <= -half_hi:
-        return -_sin_monotone(pi + r, scale)
+    # sin(-r) = -sin(r) puts the midpoint of r in [0, pi]; r is at most 2
+    # wide, so then r.lo > -pi/2
+    flip = r.midpoint < 0
+    r = -r if flip else r
 
-    # straddles an extremum: exact +-1 on that side, endpoint sines on the other
-    def endpoint_sine(e: Fraction) -> CertifiedReal:
-        if e > half_lo:
-            return _sin_monotone(pi - CertifiedReal.point(e), scale)
-        if e < -half_lo:
-            return -_sin_monotone(pi + CertifiedReal.point(e), scale)
-        return _sin_monotone(CertifiedReal.point(e), scale)
+    def lower(e: Fraction) -> Fraction:
+        # past pi/2, sin(e) = sin(pi - e) >= sin(pi.lo - e) on the increasing branch
+        x = pi.lo - e if e > pi.lo / 2 else e
+        return _sin_monotone(CertifiedReal.point(x), scale).lo
 
-    a = endpoint_sine(r.lo)
-    b = endpoint_sine(r.hi)
-    if r.midpoint > 0:
-        return CertifiedReal(min(a.lo, b.lo), Fraction(1))
-    return CertifiedReal(Fraction(-1), max(a.hi, b.hi))
+    if r.hi <= pi.lo / 2:
+        out = _sin_monotone(r, scale)
+    elif r.lo >= pi.hi / 2:
+        out = _sin_monotone(pi - r, scale)
+    else:
+        # straddles the maximum: exact 1 above, the least endpoint sine
+        # below, one kernel run per endpoint
+        out = CertifiedReal(min(lower(r.lo), lower(r.hi)), Fraction(1))
+    return -out if flip else out
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ import mpmath as mp
 import pytest
 
 import cfcert.cli as cli
+import cfcert.measure as measure
 import cfcert.probe as probe
-from cfcert import CertifiedReal, PrecisionError
+from cfcert import CertifiedReal, PrecisionError, fib_power
 
 from reference_data import PI2_MEASURE_TABLE, PI2_PLOT_COORDS, PI2_QUOTIENTS_27
 
@@ -38,6 +39,19 @@ class TestExpandCommand:
         code, out = run_cli("expand", "pi2", "--terms", "27")
         assert [int(a) for a in out.split()] == PI2_QUOTIENTS_27
 
+    def test_6000_terms_match_oracle(self):
+        code, out = run_cli("expand", "pi2", "--terms", "6000")
+        assert code == 0
+        # Euclid on pi^2 truncated at 6500 digits; 6000 quotients need ~6200
+        with mp.workdps(6520):
+            num, den = int(mp.floor(mp.pi ** 2 * 10 ** 6500)), 10 ** 6500
+        oracle = []
+        while len(oracle) < 6000:
+            a, r = divmod(num, den)
+            oracle.append(a)
+            num, den = den, r
+        assert [int(a) for a in out.split()] == oracle
+
 
 class TestConvergentsCommand:
     def test_text(self):
@@ -50,6 +64,27 @@ class TestConvergentsCommand:
                             "--engine", "fast", "--format", "csv")
         assert code == 0
         assert out.splitlines()[-1] == "6,10748,1089"
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_beyond_int_str_limit(self, fmt):
+        # all-ones quotients: p and q of row 21000 are F_21001 and F_21000,
+        # of 4389 and 4388 digits
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        limit = get_limit()
+        code, out = run_cli("convergents", "golden", "--terms", "21000",
+                            "--engine", "fast", "--format", fmt)
+        assert code == 0
+        assert get_limit() == limit  # restored for the rest of the process
+        line = out.splitlines()[-1]
+        p, q = line.split(",")[1:] if fmt == "csv" else line.split("/")
+        m = fib_power(21000)
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert (p, q) == (str(m.m00), str(m.m01))
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
 
 
 class TestMeasureCommand:
@@ -66,6 +101,23 @@ class TestMeasureCommand:
         code, out = run_cli("measure", "pi2", "--terms", "30", "--format", "plot")
         assert code == 0
         assert out.splitlines() == PI2_PLOT_COORDS
+
+    def test_plot_computes_no_lagrange(self, monkeypatch):
+        calls = []
+        original = measure.lagrange
+
+        def counted(q, mu):
+            calls.append(q)
+            return original(q, mu)
+
+        monkeypatch.setattr(measure, "lagrange", counted)
+        code, out = run_cli("measure", "pi2", "--rows", "60", "--format", "plot")
+        assert code == 0 and calls == []
+        code, csv = run_cli("measure", "pi2", "--rows", "60", "--format", "csv")
+        assert len(calls) == 58  # rows 1 and 2 have q = 1 and no mu
+        pairs = [f"({n},{mu})" for n, _, _, mu, _ in
+                 (row.split(",") for row in csv.splitlines()[1:]) if mu]
+        assert out.splitlines() == pairs
 
     def test_text_blank_mu_cells(self):
         code, out = run_cli("measure", "pi2", "--terms", "4")

@@ -122,6 +122,40 @@ class TestEvalConstant:
         assert a == b
 
 
+class TestKeptConstants:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=2, max_value=500), st.sampled_from([-1, 1]),
+           st.integers(min_value=1, max_value=3000))
+    @example(2, 1, 3000)
+    @example(500, -1, 1)
+    def test_arc_series_matches_oracle(self, m, sign, scale):
+        lo, hi = reals._arc_inv_fx(m, sign, scale)
+        with mp.workdps(scale + 30):
+            x = mp.atan(mp.mpf(1) / m) if sign < 0 else mp.atanh(mp.mpf(1) / m)
+            assert lo <= x * 10 ** scale <= hi
+        assert hi - lo <= 5
+
+    @pytest.mark.parametrize("scale, kept", [(761, 1538), (762, 770), (763, 771)])
+    def test_pi_cell_at_feynman_point(self, monkeypatch, scale, kept):
+        # six 9s from decimal 762 on: the enclosure at scale + 8 cannot decide
+        # the cell at 761, which takes a second one at twice that scale
+        monkeypatch.setattr(reals, "_KEPT", {})
+        cell = pi_interval(scale)
+        assert cell.width == Fraction(1, 10 ** scale)
+        with mp.workdps(scale + 20):
+            assert cell.lo == Fraction(int(mp.floor(mp.pi * 10 ** scale)), 10 ** scale)
+        assert reals._KEPT[(reals._pi_fx,)][0] == kept
+
+    def test_results_independent_of_history(self, monkeypatch):
+        monkeypatch.setattr(reals, "_KEPT", {})
+        spec, budget = PiPower(3, 2), PrecisionBudget(40)
+        before = pi_interval(50), eval_constant(spec, budget)
+        pi_interval(20_000)
+        # pi^(3/2) again, now cut from the 20,000-digit pi
+        del reals._KEPT[(reals._spec_fx, spec)]
+        assert (pi_interval(50), eval_constant(spec, budget)) == before
+
+
 class TestBudget:
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -168,6 +202,38 @@ class TestSine:
         out = sin_certified(x, budget)
         with mp.workdps(80):
             assert agrees(out, mp.sin(mp.pi ** 3 * 1089), 60)
+
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_extremum_runs_kernel_once_per_endpoint(self, monkeypatch, side):
+        budget = PrecisionBudget(30)
+        scale = budget.working + 1 + 8  # sin_certified's scale for |x| < 10
+        pi = pi_interval(scale)
+        half_pi = pi_interval(60).lo / 2
+        x = CertifiedReal(half_pi - Fraction(1, 10 ** 40),
+                          half_pi + Fraction(1, 10 ** 40)) * side
+
+        def endpoint_sine(e):
+            # the rule this replaced: a sine over pi -+ e, two kernel runs
+            if e > pi.lo / 2:
+                return reals._sin_monotone(pi - CertifiedReal.point(e), scale)
+            if e < -pi.lo / 2:
+                return -reals._sin_monotone(pi + CertifiedReal.point(e), scale)
+            return reals._sin_monotone(CertifiedReal.point(e), scale)
+
+        a, b = endpoint_sine(x.lo), endpoint_sine(x.hi)
+        expected = (CertifiedReal(min(a.lo, b.lo), Fraction(1)) if side > 0
+                    else CertifiedReal(Fraction(-1), max(a.hi, b.hi)))
+
+        calls = []
+        original = reals._sin_point_fx
+
+        def counted(v, s):
+            calls.append(v)
+            return original(v, s)
+
+        monkeypatch.setattr(reals, "_sin_point_fx", counted)
+        assert sin_certified(x, budget) == expected
+        assert len(calls) == 2
 
     def test_wide_input_rejected(self):
         x = CertifiedReal(Fraction(0), Fraction(1, 2))
