@@ -21,14 +21,13 @@ from .convergents import (
     telescoping_sum,
 )
 from .errors import PrecisionError
-from .measure import MeasureRow, lagrange, measure_table, mu_n
+from .measure import MeasureRow, lagrange, measure_table, mu_n, residual
 from .probe import (
     BoundReport,
     ProbeRow,
     bound_check,
     envelope_check,
     probe_table,
-    residual,
     sine_probe,
 )
 from .reals import (

@@ -1,9 +1,9 @@
-"""Approximate irrationality measure mu_n and the q^(mu_n - 2) column.
+"""Residuals eps_n = q_n*alpha - p_n, mu_n and the q^(mu_n - 2) column.
 
-mu_n(alpha) = -log|alpha - p_n/q_n| / log q_n, certified from interval
-enclosures.  Displayed mu_n is the ceiling at six decimals, i.e. the
-least six-decimal exponent mu with |alpha - p/q| >= 1/q^mu.  The final
-column q^(mu_n - 2) uses the displayed mu_n and rounds half-to-even.
+mu_n(alpha) = -log|alpha - p_n/q_n| / log q_n = 1 - ln|eps_n| / ln q_n,
+from the residual's enclosure.  Displayed mu_n is the ceiling at six
+decimals: the least such exponent mu with |alpha - p/q| >= 1/q^mu.  The
+final column q^(mu_n - 2) uses the displayed mu_n, rounded half-to-even.
 
 mu_n ~ 2 for the convergents of almost every real number; a finite table
 of mu_n values is evidence about the early convergents only and proves
@@ -37,10 +37,14 @@ _PLACES = 6
 _SCALE = 10 ** _PLACES
 # certification threshold: half an ulp of the displayed six decimals
 _MU_WIDTH = Fraction(5, 10 ** (_PLACES + 1))
+# both columns' logs start at the 7 digits that decide six decimals, plus 4 guard
+_DISPLAY_START = PrecisionBudget(_PLACES + 1, guard=4)
 
 
 def _as_decimal(scaled: int) -> Decimal:
-    return Decimal(scaled).scaleb(-_PLACES)
+    """scaled * 10^-6, exact at any size (no context rounding)."""
+    sign, digits, _ = Decimal(scaled).as_tuple()
+    return Decimal((sign, digits, -_PLACES))
 
 
 @dataclass(frozen=True)
@@ -59,50 +63,82 @@ class MeasureRow:
     lagrange: Decimal | None
 
 
+def residual(alpha: ConstantSpec, conv: Convergent,
+             budget: PrecisionBudget) -> CertifiedReal:
+    """Enclosure of q*alpha - p with width <= q * 10^-digits.
+
+    Raises PrecisionError when the enclosure straddles zero (except for
+    the exact-zero residual of a rational constant).
+    """
+    enclosure = eval_constant(alpha, budget)
+    eps = enclosure * conv.q - conv.p
+    if eps.straddles_zero():
+        raise PrecisionError(
+            f"residual for {conv.p}/{conv.q} straddles zero at "
+            f"{budget.digits} digits"
+        )
+    return eps
+
+
+def _working_residual(alpha: ConstantSpec, conv: Convergent,
+                      budget: PrecisionBudget) -> tuple[CertifiedReal, PrecisionBudget]:
+    """eps to ``budget.working`` significant digits, and the budget its sines take."""
+    def attempt(b: PrecisionBudget) -> CertifiedReal:
+        eps = residual(alpha, conv, b)
+        # width <= |eps| 10^-(working+1): below 10^-working of its leading digit
+        if eps.width * 10 ** (budget.working + 1) > abs(eps).lo:
+            raise PrecisionError(f"residual for {conv.p}/{conv.q} holds fewer "
+                                 f"than {budget.working} significant digits")
+        return eps
+
+    eps = escalate(attempt, budget)
+    lead = 0 if eps.is_zero() else max(0, -_floor_log10(abs(eps).lo))
+    return eps, replace(budget, digits=budget.digits + lead)
+
+
 def mu_n(alpha: ConstantSpec, conv: Convergent,
          budget: PrecisionBudget) -> Decimal | None:
     """Certified -log|alpha - p/q| / log q, ceiled to six decimals.
 
-    None when q = 1.  The logs run at the digits the error enclosure
-    carries, never above ``budget.working``.  Raises PrecisionError if
-    the budget cannot separate the error term from zero or pin all six
-    decimals; callers escalate.
+    None when q = 1.  As |alpha - p/q| = |eps|/q for the residual
+    eps = q*alpha - p, mu = 1 - ln|eps| / ln q, with eps to
+    ``budget.working`` significant digits.  The logs start at 11 digits
+    and double up to max(working, 7) + 4; past that, PrecisionError, and
+    callers escalate.  Raises ZeroDivisionError when eps is exactly zero.
     """
     if conv.q == 1:
         return None
-    err = abs(eval_constant(alpha, budget) - Fraction(conv.p, conv.q))
-    if err.hi == 0:
+    eps, _ = _working_residual(alpha, conv, budget)
+    if eps.is_zero():
         raise ZeroDivisionError("exact convergent: approximation error is zero")
-    if not err.certainly_positive():
-        raise PrecisionError(
-            f"error interval for p/q={conv.p}/{conv.q} cannot exclude zero "
-            f"at {budget.digits} digits"
-        )
-    scale = budget.working
-    if err.width:
-        # digits err carries, or _MU_WIDTH's if fewer, plus headroom for rounding
-        carried = max(_floor_log10(err.lo / err.width), -_floor_log10(_MU_WIDTH))
-        scale = min(scale, carried + 4)
-    mu = -ln_certified(err, scale) / ln_certified(CertifiedReal.point(conv.q), scale)
-    if mu.width >= _MU_WIDTH:
-        raise PrecisionError("mu enclosure wider than half a display ulp")
-    lo, hi = math.ceil(mu.lo * _SCALE), math.ceil(mu.hi * _SCALE)
-    if lo != hi:
-        # an exact error can put mu on the display point u/v itself, which no
-        # precision separates; err = q^(-u/v) with gcd(u, v) = 1 needs
-        # q = r^v, so v <= log2 q (and u >= 1, as err < 1)
-        u, v = Fraction(lo, _SCALE).as_integer_ratio()
-        if err.width or u < 1 or v >= conv.q.bit_length():
-            raise PrecisionError("mu enclosure straddles a display boundary")
-        # mu <= u/v  iff  err^v * q^u >= 1
-        a, b = err.lo.as_integer_ratio()
-        if a ** v * conv.q ** u < b ** v:
-            lo = hi
-    return _as_decimal(lo)
+
+    def attempt(b: PrecisionBudget) -> Decimal:
+        lnq = ln_certified(CertifiedReal.point(conv.q), b.working)
+        mu = 1 - ln_certified(abs(eps), b.working) / lnq
+        if mu.width >= _MU_WIDTH:
+            raise PrecisionError("mu enclosure wider than half a display ulp")
+        lo, hi = math.ceil(mu.lo * _SCALE), math.ceil(mu.hi * _SCALE)
+        if lo != hi:
+            # an exact eps can put mu on the display point u/v itself, which
+            # no precision separates; |eps|/q = q^(-u/v) with gcd(u, v) = 1
+            # needs q = r^v, so v <= log2 q (and u >= 1, as |eps|/q < 1)
+            u, v = Fraction(lo, _SCALE).as_integer_ratio()
+            if eps.width or u < 1 or v >= conv.q.bit_length():
+                raise PrecisionError("mu enclosure straddles a display boundary")
+            # mu <= u/v  iff  |eps|^v * q^(u-v) >= 1, with |eps| = a/c
+            a, c = abs(eps).lo.as_integer_ratio()
+            if a ** v * conv.q ** u < c ** v * conv.q ** v:
+                lo = hi
+        return _as_decimal(lo)
+
+    return escalate(attempt, replace(_DISPLAY_START, cap=max(budget.working, 7) + 4))
 
 
 def lagrange(q: int, mu) -> Decimal:
-    """q^(mu - 2) at six decimals (half-even); exactly 1.000000 for q = 1."""
+    """q^(mu - 2) at six decimals (half-even); exactly 1.000000 for q = 1.
+
+    ln q and exp start where mu's logs do and double: 11, 22, ..., 5632 digits.
+    """
     if q < 1:
         raise ValueError("q must be >= 1")
     if q == 1:
@@ -117,8 +153,7 @@ def lagrange(q: int, mu) -> Decimal:
             raise PrecisionError("lagrange value sits on a rounding boundary")
         return _as_decimal(lo)
 
-    # working precision 40, 80, ..., 5120
-    return escalate(attempt, PrecisionBudget(30, cap=10_000))
+    return escalate(attempt, replace(_DISPLAY_START, cap=10_000))
 
 
 def measure_table(alpha: ConstantSpec, rows: int,

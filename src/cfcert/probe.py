@@ -1,4 +1,4 @@
-"""Residuals eps_n = q_n*alpha - p_n and their sine probes.
+"""Sine probes and bound checks of the residuals eps_n = q_n*alpha - p_n.
 
 For alpha = pi^2 the probe evaluates |sin(pi^3 * q_n)| directly (full
 argument reduction at magnitude pi^3 * q_n) and compares it with the
@@ -17,7 +17,7 @@ from functools import partial
 
 from .convergents import Convergent
 from .errors import PrecisionError
-from .measure import mu_n
+from .measure import _working_residual, mu_n
 from .reals import (
     CertifiedReal,
     ConstantSpec,
@@ -25,7 +25,6 @@ from .reals import (
     PrecisionBudget,
     _floor_log10,
     escalate,
-    eval_constant,
     pi_interval,
     sin_certified,
 )
@@ -61,23 +60,6 @@ class BoundReport:
     mu: Decimal | None
 
 
-def residual(alpha: ConstantSpec, conv: Convergent,
-             budget: PrecisionBudget) -> CertifiedReal:
-    """Enclosure of q*alpha - p with width <= q * 10^-digits.
-
-    Raises PrecisionError when the enclosure straddles zero (except for
-    the exact-zero residual of a rational constant).
-    """
-    enclosure = eval_constant(alpha, budget)
-    eps = enclosure * conv.q - conv.p
-    if eps.straddles_zero():
-        raise PrecisionError(
-            f"residual for {conv.p}/{conv.q} straddles zero at "
-            f"{budget.digits} digits"
-        )
-    return eps
-
-
 def sine_probe(alpha: ConstantSpec, conv: Convergent,
                budget: PrecisionBudget) -> ProbeRow:
     """Probe row for one convergent, each column to ``budget.working``
@@ -102,22 +84,6 @@ def sine_probe(alpha: ConstantSpec, conv: Convergent,
         envelope = _envelope_holds(abs_eps, sin_unscaled, pi)
     return ProbeRow(conv.n + 1, eps, abs_eps, sin_direct, sin_reduced,
                     sin_unscaled, envelope_ok=envelope)
-
-
-def _working_residual(alpha: ConstantSpec, conv: Convergent,
-                      budget: PrecisionBudget) -> tuple[CertifiedReal, PrecisionBudget]:
-    """eps to ``budget.working`` significant digits, and the budget its sines take."""
-    def attempt(b: PrecisionBudget) -> CertifiedReal:
-        eps = residual(alpha, conv, b)
-        # width <= |eps| 10^-(working+1): below 10^-working of its leading digit
-        if eps.width * 10 ** (budget.working + 1) > abs(eps).lo:
-            raise PrecisionError(f"residual for {conv.p}/{conv.q} holds fewer "
-                                 f"than {budget.working} significant digits")
-        return eps
-
-    eps = escalate(attempt, budget)
-    lead = 0 if eps.is_zero() else max(0, -_floor_log10(abs(eps).lo))
-    return eps, replace(budget, digits=budget.digits + lead)
 
 
 def _residual_flags(alpha: ConstantSpec, cur: Convergent, nxt: Convergent,

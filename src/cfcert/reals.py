@@ -504,9 +504,9 @@ def _ln_point_fx(x: Fraction, scale: int) -> tuple[int, int]:
 
 
 def _exp_point_fx(y: Fraction, scale: int) -> tuple[int, int]:
-    """exp of an exact rational with |y| <= ~200, as a directed pair."""
-    if abs(y) > 400:
-        raise PrecisionError("exp argument out of supported range")
+    """exp of an exact rational with |y| <= scale ln 10, as a directed pair."""
+    if abs(y) > scale * log(10):
+        raise PrecisionError(f"exp argument out of range at scale {scale}")
     s = scale + 12
     # y = j*ln2 + r with |r| <= 0.36 after round-to-nearest j
     j = int((y * 1_442_695 + Fraction(1, 2) * 1_000_000) // 1_000_000)

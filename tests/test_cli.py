@@ -1,6 +1,7 @@
 """CLI tests: formats, golden outputs, exit codes, determinism."""
 
 import io
+import math
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 import cfcert.cli as cli
 import cfcert.measure as measure
 import cfcert.probe as probe
+import cfcert.reals as reals
 from cfcert import CertifiedReal, PrecisionError, fib_power
 
 from reference_data import PI2_MEASURE_TABLE, PI2_PLOT_COORDS, PI2_QUOTIENTS_27
@@ -139,6 +141,37 @@ class TestMeasureCommand:
         assert code == 0
         assert out.splitlines()[3].split() == ["3", "1", "10", "3.000000",
                                                "10.000000"]
+
+    def test_logs_at_mu_digits(self, monkeypatch):
+        scales = {"_ln_point_fx": [], "_exp_point_fx": []}
+        for kernel, seen in scales.items():
+            def counted(v, scale, original=getattr(reals, kernel), seen=seen):
+                seen.append(scale)
+                return original(v, scale)
+
+            monkeypatch.setattr(reals, kernel, counted)
+        code, _ = run_cli("measure", "pi2", "--rows", "150")
+        assert code == 0
+        for seen in scales.values():
+            assert seen and max(seen) <= 11
+
+    @pytest.mark.parametrize("threes", [30, 180])
+    def test_lagrange_above_28_digits(self, threes):
+        # row 2 is 1/3, and q^(mu-2) has about threes digits
+        literal = "0." + "3" * threes
+        code, out = run_cli("measure", f"lit:{literal}", "--rows", "2",
+                            "--format", "csv")
+        assert code == 0
+        n, p, q, mu, lag = out.splitlines()[2].split(",")
+        assert (n, p, q) == ("2", "1", "3")
+        x, shown = Fraction(literal), Fraction(mu)
+        with mp.workdps(threes + 100):
+            err = abs(mp.mpf(x.numerator) / x.denominator - mp.mpf(1) / 3)
+            mu_oracle = Fraction(mp.nstr(-mp.log(err) / mp.log(3), 40))
+            assert shown == Fraction(math.ceil(mu_oracle * 10 ** 6), 10 ** 6)
+            value = mp.power(3, mp.mpf(shown.numerator) / shown.denominator - 2)
+            scaled = round(Fraction(mp.nstr(value, threes + 40)) * 10 ** 6)
+        assert lag == f"{scaled // 10 ** 6}.{scaled % 10 ** 6:06d}"
 
 
 class TestProbeCommand:

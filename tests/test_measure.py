@@ -13,7 +13,9 @@ from cfcert import (
     PrecisionBudget,
     PrecisionError,
     Surd,
+    convergents_iter,
     eval_constant,
+    expand,
     lagrange,
     measure_table,
     mu_n,
@@ -51,6 +53,34 @@ class TestMuN:
     def test_exact_zero_error(self):
         with pytest.raises(ZeroDivisionError):
             mu_n(DecimalLiteral("0.5"), Convergent(1, 1, 2), PrecisionBudget(20))
+
+
+class TestMuFromResidual:
+    def test_budget_below_mu_digits(self):
+        # working precision 3 caps the logs at max(3, 7) + 4 = 11 digits:
+        # PrecisionError where that cannot pin six decimals, never the
+        # ValueError of a cap below digits + guard
+        low = PrecisionBudget(3, guard=0)
+        assert mu_n(PI2, Convergent(2, 69, 7), low) == Decimal("2.253500")
+        with pytest.raises(PrecisionError):
+            mu_n(PI2, Convergent(6, 10975, 1112), low)
+
+    @pytest.mark.parametrize("alpha, oracle", [
+        (PiPower(3, 4), lambda: mp.pi ** (mp.mpf(3) / 4)),
+        (Surd(0, 1, 199, 1), lambda: mp.sqrt(199)),
+    ], ids=["pi^3/4", "sqrt:199"])
+    def test_rows_1_to_200_match_oracle(self, alpha, oracle):
+        budget = PrecisionBudget(60)
+        convs = list(convergents_iter(expand(alpha, 200, budget), 199))
+        assert len(convs) == 200
+        with mp.workdps(800):
+            x = oracle()
+            for conv in convs:
+                if conv.q == 1:
+                    assert mu_n(alpha, conv, budget) is None
+                    continue
+                err = abs(x - mp.mpf(conv.p) / conv.q)
+                assert mu_n(alpha, conv, budget) == ceil6(-mp.log(err) / mp.log(conv.q))
 
 
 class TestLagrange:
