@@ -8,7 +8,6 @@ quadratic surds (no rounding anywhere on that path).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from math import isqrt
 from typing import Iterator
@@ -73,9 +72,8 @@ class SurdExpansion:
 # expansion via Euclid on the enclosure endpoints
 # ---------------------------------------------------------------------------
 
-def _euclid(value: Fraction) -> Iterator[int]:
-    # plain Euclid; naturally canonical (last quotient >= 2 when len > 1)
-    num, den = value.numerator, value.denominator
+def _euclid(num: int, den: int) -> Iterator[int]:
+    # plain Euclid on num/den in any terms; canonical (last quotient >= 2 if len > 1)
     while den:
         a, rem = divmod(num, den)
         yield a
@@ -96,7 +94,8 @@ def _shared_prefix(x: CertifiedReal, max_terms: int) -> list[int]:
     is in the set because a canonical last quotient is >= 2 when k > 0.
     """
     prefix: list[int] = []
-    for a, b in islice(zip(_euclid(x.lo), _euclid(x.hi)), max_terms):
+    ends = (_euclid(*end.as_integer_ratio()) for end in (x.lo, x.hi))
+    for a, b in islice(zip(*ends), max_terms):
         if a != b:
             break
         prefix.append(a)
@@ -128,7 +127,7 @@ def expand(spec: ConstantSpec, want_terms: int,
 
     exact = exact_value(spec)
     if exact is not None:
-        terms = list(_euclid(exact))
+        terms = list(_euclid(*exact.as_integer_ratio()))
         return PartialQuotients(tuple(terms), len(terms), spec, terminated=True)
 
     best: list[int] = []
@@ -162,7 +161,7 @@ def certify(spec: ConstantSpec, want_terms: int,
     budget = budget or PrecisionBudget(60)
     exact = exact_value(spec)
     if exact is not None:
-        return len(list(_euclid(exact)))
+        return len(list(_euclid(*exact.as_integer_ratio())))
     return len(_certified_prefix(spec, want_terms, budget))
 
 

@@ -76,8 +76,7 @@ def sine_probe(alpha: ConstantSpec, conv: Convergent,
     sin_unscaled = abs(sin_certified(eps, sine_budget))
     sin_direct = None
     if direct:
-        pi_cubed = CertifiedReal(pi.lo ** 3, pi.hi ** 3)
-        sin_direct = abs(sin_certified(pi_cubed * conv.q, sine_budget))
+        sin_direct = abs(sin_certified(pi * pi * pi * conv.q, sine_budget))
 
     envelope = None
     if abs_eps.hi <= pi.lo / 2:
@@ -121,9 +120,10 @@ def envelope_check(z: CertifiedReal, budget: PrecisionBudget | None = None) -> b
 def _envelope_holds(abs_z: CertifiedReal, sin_abs: CertifiedReal,
                     pi: CertifiedReal) -> bool:
     """False only if (2/pi)|z| <= |sin z| <= |z| is certainly violated."""
-    scaled = abs_z * CertifiedReal(Fraction(2) / pi.hi, Fraction(2) / pi.lo)
+    scaled = abs_z * pi.reciprocal() * 2
     # certified violation tests; both inequalities are theorems on the domain
-    return not (scaled.lo > sin_abs.hi or sin_abs.lo > abs_z.hi)
+    return not ((scaled - sin_abs).certainly_positive()
+                or (sin_abs - abs_z).certainly_positive())
 
 
 def bound_check(alpha: ConstantSpec, rows: list[ProbeRow],

@@ -1,27 +1,27 @@
 """Certified real arithmetic on directed-rounded rational intervals.
 
-Every value is an enclosure ``[lo, hi]`` with exact rational endpoints,
-kept on a decimal grid (scaled integers) by all internal routines.  The
-transcendental evaluations (pi, sin, ln, exp, integer roots) run in
-integer fixed point with explicit truncation bounds, so the returned
-interval is guaranteed to contain the mathematical value.  No hardware
-floats appear anywhere on the certified path.
+Every value is an enclosure [lo_num, hi_num] / den: integer numerators
+over one unnormalised positive denominator, 10^scale (a decimal grid) for
+every kernel result.  The transcendental evaluations (pi, sin, ln, exp,
+integer roots) run on such integers with explicit truncation bounds, so
+the returned interval is guaranteed to contain the mathematical value.
+No hardware float appears on the certified path or is accepted as input.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import count
 from math import gcd, isqrt, log
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from .errors import PrecisionError
 
 DEFAULT_PRECISION_CAP = 1_000_000
 
-_ZERO = Fraction(0)
 _DECIMAL_RE = re.compile(r"^[+-]?\d+(\.\d+)?$")
 T = TypeVar("T")
 
@@ -92,101 +92,131 @@ def escalate(attempt: Callable[[PrecisionBudget], T], budget: PrecisionBudget) -
 # certified interval
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CertifiedReal:
-    """Closed interval [lo, hi] guaranteed to contain the exact value."""
+    """Closed interval [lo, hi] guaranteed to contain the exact value.
 
-    lo: Fraction
-    hi: Fraction
+    Integer numerators ``lo_num <= hi_num`` over one unnormalised ``den > 0``
+    (10^scale for kernel results and after :meth:`outward`, q for a point
+    p/q) carry all arithmetic and comparisons; ``lo``, ``hi``, ``width`` and
+    ``midpoint`` are lowest-terms Fraction views.  Immutable; equal by value.
+    """
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
+    __slots__ = ("lo_num", "hi_num", "den")
+
+    def __new__(cls, lo, hi):
+        lo_num, _, _, hi_num, den = _aligned(cls.point(lo), cls.point(hi))
+        return _iv(lo_num, hi_num, den)
 
     @classmethod
     def point(cls, value) -> "CertifiedReal":
+        if isinstance(value, float):  # its binary value is rarely the number meant
+            raise TypeError(f"inexact float {value!r}; pass an int, Fraction, "
+                            "Decimal or decimal string")
         v = Fraction(value)
-        return cls(v, v)
+        return _iv(v.numerator, v.numerator, v.denominator)
 
     @classmethod
     def from_fixed(cls, lo: int, hi: int, scale: int) -> "CertifiedReal":
-        d = 10 ** scale
-        return cls(Fraction(lo, d), Fraction(hi, d))
+        return _iv(lo, hi, 10 ** scale)
+
+    def __setattr__(self, name, value=None):  # value=None: refuses del too
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _iv, (self.lo_num, self.hi_num, self.den)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, CertifiedReal) and self.contains_interval(other)
+                and other.contains_interval(self))
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
 
     # -- basic queries ------------------------------------------------------
 
     @property
+    def lo(self) -> Fraction:
+        return Fraction(self.lo_num, self.den)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.hi_num, self.den)
+
+    @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.hi_num - self.lo_num, self.den)
 
     @property
     def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self.lo_num + self.hi_num, 2 * self.den)
 
     def contains(self, value) -> bool:
-        v = Fraction(value)
-        return self.lo <= v <= self.hi
+        return self.contains_interval(CertifiedReal.point(value))
 
     def contains_interval(self, other: "CertifiedReal") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
+        al, ah, bl, bh, _ = _aligned(self, other)
+        return al <= bl and bh <= ah
 
     def overlaps(self, other: "CertifiedReal") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
+        al, ah, bl, bh, _ = _aligned(self, other)
+        return al <= bh and bl <= ah
 
     def straddles_zero(self) -> bool:
-        return self.lo < 0 < self.hi
+        return self.lo_num < 0 < self.hi_num
 
     def is_zero(self) -> bool:
-        return self.lo == 0 == self.hi
+        return self.lo_num == 0 == self.hi_num
 
     def certainly_positive(self) -> bool:
-        return self.lo > 0
+        return self.lo_num > 0
 
     def certainly_negative(self) -> bool:
-        return self.hi < 0
+        return self.hi_num < 0
 
     def certainly_less_than(self, value) -> bool:
-        return self.hi < Fraction(value)
+        return (self - CertifiedReal.point(value)).certainly_negative()
 
     def certainly_greater_than(self, value) -> bool:
-        return self.lo > Fraction(value)
+        return (self - CertifiedReal.point(value)).certainly_positive()
 
     # -- exact interval arithmetic -----------------------------------------
 
     def __add__(self, other) -> "CertifiedReal":
-        o = _as_interval(other)
-        return CertifiedReal(self.lo + o.lo, self.hi + o.hi)
+        al, ah, bl, bh, den = _aligned(self, _as_interval(other))
+        return _iv(al + bl, ah + bh, den)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "CertifiedReal":
-        o = _as_interval(other)
-        return CertifiedReal(self.lo - o.hi, self.hi - o.lo)
+        return self + -_as_interval(other)
 
     def __rsub__(self, other) -> "CertifiedReal":
-        return _as_interval(other) - self
+        return -self + other
 
     def __neg__(self) -> "CertifiedReal":
-        return CertifiedReal(-self.hi, -self.lo)
+        return _iv(-self.hi_num, -self.lo_num, self.den)
 
     def __mul__(self, other) -> "CertifiedReal":
         o = _as_interval(other)
-        products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return CertifiedReal(min(products), max(products))
+        return _iv(*_hull(self.lo_num, self.hi_num, o.lo_num, o.hi_num), self.den * o.den)
 
     __rmul__ = __mul__
 
     def __abs__(self) -> "CertifiedReal":
-        if self.lo >= 0:
+        if self.lo_num >= 0:
             return self
-        if self.hi <= 0:
+        if self.hi_num <= 0:
             return -self
-        return CertifiedReal(_ZERO, max(-self.lo, self.hi))
+        return _iv(0, max(-self.lo_num, self.hi_num), self.den)
 
     def reciprocal(self) -> "CertifiedReal":
-        if self.lo <= 0 <= self.hi:
+        if self.lo_num <= 0 <= self.hi_num:
             raise ZeroDivisionError("interval contains zero")
-        return CertifiedReal(1 / self.hi, 1 / self.lo)
+        # [den/hi, den/lo] over lo*hi, which is positive
+        return _iv(self.den * self.lo_num, self.den * self.hi_num,
+                   self.lo_num * self.hi_num)
 
     def __truediv__(self, other) -> "CertifiedReal":
         return self * _as_interval(other).reciprocal()
@@ -198,18 +228,33 @@ class CertifiedReal:
         superset of self.
         """
         d = 10 ** scale
-        lo = (self.lo.numerator * d) // self.lo.denominator
-        hi = -((-self.hi.numerator * d) // self.hi.denominator)
-        return CertifiedReal(Fraction(lo, d), Fraction(hi, d))
+        return _iv(*_directed(self.lo_num * d, self.hi_num * d, self.den), d)
 
     def __repr__(self) -> str:
         return f"CertifiedReal({self.lo}, {self.hi})"
 
 
+def _iv(lo_num: int, hi_num: int, den: int) -> CertifiedReal:
+    """The interval [lo_num, hi_num] / den, den > 0, taken as given."""
+    if lo_num > hi_num:
+        raise ValueError(f"empty interval: [{lo_num}, {hi_num}] / {den}")
+    x = object.__new__(CertifiedReal)
+    object.__setattr__(x, "lo_num", lo_num)
+    object.__setattr__(x, "hi_num", hi_num)
+    object.__setattr__(x, "den", den)
+    return x
+
+
+def _aligned(a: CertifiedReal, b: CertifiedReal) -> tuple[int, int, int, int, int]:
+    """(a.lo, a.hi, b.lo, b.hi) as numerators over one denominator, and it."""
+    if a.den == b.den:
+        return a.lo_num, a.hi_num, b.lo_num, b.hi_num, a.den
+    return (a.lo_num * b.den, a.hi_num * b.den, b.lo_num * a.den,
+            b.hi_num * a.den, a.den * b.den)
+
+
 def _as_interval(x) -> CertifiedReal:
-    if isinstance(x, CertifiedReal):
-        return x
-    return CertifiedReal.point(x)
+    return x if isinstance(x, CertifiedReal) else CertifiedReal.point(x)
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +334,14 @@ def exact_value(spec: ConstantSpec) -> Fraction | None:
 # ---------------------------------------------------------------------------
 # integer fixed-point helpers
 #
-# A "pair" (lo, hi) at scale S encloses x: lo <= x*10^S <= hi.
+# A "pair" (lo, hi) at scale S encloses x: lo <= x*10^S <= hi, the
+# numerators of a CertifiedReal over den = 10^S.  A point kernel takes its
+# exact rational argument as (num, den), den > 0, in any terms.
 # ---------------------------------------------------------------------------
 
-def _ceil_div(a: int, b: int) -> int:
-    # b > 0
-    return -((-a) // b)
+def _directed(lo: int, hi: int, den: int) -> tuple[int, int]:
+    """[lo, hi] / den rounded outward to integers, den > 0."""
+    return lo // den, -(-hi // den)
 
 
 def _floor_log10(x: int | Fraction) -> int:
@@ -316,30 +363,10 @@ def _floor_log10(x: int | Fraction) -> int:
     return k
 
 
-def _fx_bounds(x: Fraction, scale: int) -> tuple[int, int]:
-    t = x * 10 ** scale
-    lo = t.numerator // t.denominator
-    hi = lo if t.denominator == 1 else lo + 1
-    return lo, hi
-
-
-def _pair_mul(a: tuple[int, int], b: tuple[int, int], scale: int) -> tuple[int, int]:
-    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    d = 10 ** scale
-    return min(p) // d, _ceil_div(max(p), d)
-
-
-def _pair_div_int(a: tuple[int, int], n: int) -> tuple[int, int]:
-    # n > 0
-    return a[0] // n, _ceil_div(a[1], n)
-
-
-def _pair_rescale(a: tuple[int, int], from_scale: int, to_scale: int) -> tuple[int, int]:
-    if to_scale >= from_scale:
-        f = 10 ** (to_scale - from_scale)
-        return a[0] * f, a[1] * f
-    d = 10 ** (from_scale - to_scale)
-    return a[0] // d, _ceil_div(a[1], d)
+def _hull(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
+    """Least and greatest of the four endpoint products."""
+    p = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+    return min(p), max(p)
 
 
 def _iroot(n: int, k: int) -> int:
@@ -381,8 +408,9 @@ def _arc_inv_fx(m: int, sign: int, scale: int) -> tuple[int, int]:
     n = 1 + int(scale * log(10) / (2 * log(m)))
     q, d, t = split(0, n)
     num, den = t * 10 ** scale, m * d * q
-    tail = _ceil_div(2 * 10 ** scale, (2 * n + 1) * m * q)
-    return num // den - tail, _ceil_div(num, den) + tail
+    lo, hi = _directed(num, num, den)
+    tail = -(-2 * 10 ** scale // ((2 * n + 1) * m * q))  # rounded up
+    return lo - tail, hi + tail
 
 
 def _pi_fx(scale: int) -> tuple[int, int]:
@@ -420,121 +448,94 @@ def _cell(scale: int, enclose: Callable[..., tuple[int, int]], *args) -> tuple[i
         _KEPT[(enclose, *args)] = kept, (lo, hi)
 
 
-# -- Taylor series on fixed-point pairs --------------------------------------
-#
-# Each loop keeps the running term as a directed pair and stops once the
-# term magnitude falls to a few ulps; the final widening covers both the
-# truncation tail (ratio bounds documented per series) and the stalled
-# rounding ulps of the stop threshold.
+# -- the one Taylor series on fixed-point pairs ------------------------------
 
-_STOP = 8
-_SLACK = 64
+def _series_fx(power: tuple[int, int], ratio: tuple[int, int], scale: int,
+               steps: Iterator[tuple[int, int]]) -> tuple[int, int]:
+    """Pair of sum_k P_k / n_k: P_0 = ``power``, n_0 = 1, and for k >= 1
+    P_k = P_(k-1) * ``ratio`` / (10^scale m_k), (m_k, n_k) from endless ``steps``.
 
-
-def _sin_point_fx(x: Fraction, scale: int) -> tuple[int, int]:
-    """sin of an exact rational, |x| <= 1.6 (term ratio <= 0.43)."""
-    t = _fx_bounds(x, scale)
-    neg_t2 = _pair_mul(t, t, scale)
-    neg_t2 = (-neg_t2[1], -neg_t2[0])
-    term = t
-    lo, hi = t
-    k = 0
-    while max(abs(term[0]), abs(term[1])) > _STOP:
-        k += 1
-        term = _pair_mul(term, neg_t2, scale)
-        term = _pair_div_int(term, (2 * k) * (2 * k + 1))
-        lo += term[0]
-        hi += term[1]
-    return lo - _SLACK, hi + _SLACK
-
-
-def _exp_series_fx(t: tuple[int, int], scale: int) -> tuple[int, int]:
-    """exp on a pair enclosing t, |t| <= 0.8 (term ratio <= 0.8)."""
-    one = 10 ** scale
-    term = (one, one)
-    lo = hi = one
-    k = 0
-    while max(abs(term[0]), abs(term[1])) > _STOP:
-        k += 1
-        term = _pair_mul(term, t, scale)
-        term = _pair_div_int(term, k)
-        lo += term[0]
-        hi += term[1]
-    return lo - _SLACK, hi + _SLACK
-
-
-def _atanh_series_fx(z: tuple[int, int], scale: int) -> tuple[int, int]:
-    """atanh on a pair enclosing z, |z| <= 1/3 (term ratio <= 1/9)."""
-    z2 = _pair_mul(z, z, scale)
-    power = z
-    lo, hi = z
-    k = 0
-    while max(abs(power[0]), abs(power[1])) > _STOP:
-        k += 1
-        power = _pair_mul(power, z2, scale)
-        term = _pair_div_int(power, 2 * k + 1)
-        lo += term[0]
-        hi += term[1]
-    return lo - _SLACK, hi + _SLACK
+    One directed rounding per P_k, as floor(P / (10^scale m)) equals
+    floor(floor(P / 10^scale) / m).  Stops once |P_k| falls to 8 ulps; the
+    final widening by 64 covers both the truncation tail (each caller bounds
+    its term ratio) and the stalled rounding ulps of the stop threshold.
+    """
+    d = 10 ** scale
+    lo, hi = power
+    for m, n in steps:
+        if max(abs(power[0]), abs(power[1])) <= 8:
+            return lo - 64, hi + 64
+        power = _directed(*_hull(*power, *ratio), d * m)
+        lo, hi = lo + power[0] // n, hi - (-power[1] // n)
 
 
 # ---------------------------------------------------------------------------
 # point evaluations built on the series
 # ---------------------------------------------------------------------------
 
-def _ln_point_fx(x: Fraction, scale: int) -> tuple[int, int]:
+def _sin_point_fx(x: tuple[int, int], scale: int) -> tuple[int, int]:
+    """sin of an exact rational, |x| <= 1.6 (term ratio <= 0.43)."""
+    d = 10 ** scale
+    t = _directed(x[0] * d, x[0] * d, x[1])
+    t2 = _directed(*_hull(*t, *t), d)
+    return _series_fx(t, (-t2[1], -t2[0]), scale,
+                      ((2 * i * (2 * i + 1), 1) for i in count(1)))
+
+
+def _ln_point_fx(x: tuple[int, int], scale: int) -> tuple[int, int]:
     """Natural log of an exact positive rational, as a directed pair.
 
     x = 2^k * m with m in [2/3, 4/3), so ln x = k ln 2 + 2 atanh(z) with
     z = (m - 1)/(m + 1) and |z| <= 1/5.
     """
-    if x <= 0:
+    num, den = x
+    if num <= 0:
         raise ValueError("ln of non-positive value")
     s = scale + 8
-    # bit lengths put 3x/2 within a factor 2 of 2^k, so m lies in (1/3, 4/3)
-    k = (3 * x.numerator).bit_length() - (2 * x.denominator).bit_length()
-    m = x / Fraction(2) ** k
-    if m < Fraction(2, 3):
-        k, m = k - 1, 2 * m
-    z = (m - 1) / (m + 1)
-    at = _atanh_series_fx(_fx_bounds(z, s), s)
-    l2 = _cell(s, _ln2_fx)
-    kl = (k * l2[0], k * l2[1]) if k >= 0 else (k * l2[1], k * l2[0])
-    return _pair_rescale((2 * at[0] + kl[0], 2 * at[1] + kl[1]), s, scale)
+    # bit lengths put 3x/2 within a factor 2 of 2^k, so m = a/b lies in (1/3, 4/3)
+    k = (3 * num).bit_length() - (2 * den).bit_length()
+    a, b = (num, den << k) if k >= 0 else (num << -k, den)
+    if 3 * a < 2 * b:
+        k, a = k - 1, 2 * a
+    d = 10 ** s
+    z = _directed((a - b) * d, (a - b) * d, a + b)
+    # atanh, term ratio <= 1/9; it stops on the power z^(2i+1), not on the term
+    at = _series_fx(z, _directed(*_hull(*z, *z), d), s,
+                    ((1, 2 * i + 1) for i in count(1)))
+    kl = sorted(k * l2 for l2 in _cell(s, _ln2_fx))
+    return _directed(2 * at[0] + kl[0], 2 * at[1] + kl[1], 10 ** (s - scale))
 
 
-def _exp_point_fx(y: Fraction, scale: int) -> tuple[int, int]:
+def _exp_point_fx(y: tuple[int, int], scale: int) -> tuple[int, int]:
     """exp of an exact rational with |y| <= scale ln 10, as a directed pair."""
-    if abs(y) > scale * log(10):
+    num, den = y
+    bound, unit = (scale * log(10)).as_integer_ratio()
+    if abs(num) * unit > bound * den:
         raise PrecisionError(f"exp argument out of range at scale {scale}")
     s = scale + 12
     # y = j*ln2 + r with |r| <= 0.36 after round-to-nearest j
-    j = int((y * 1_442_695 + Fraction(1, 2) * 1_000_000) // 1_000_000)
-    l2 = _cell(s, _ln2_fx)
-    r_lo = y - Fraction(j * l2[1] if j >= 0 else j * l2[0], 10 ** s)
-    r_hi = y - Fraction(j * l2[0] if j >= 0 else j * l2[1], 10 ** s)
-    pr = (_fx_bounds(r_lo, s)[0], _fx_bounds(r_hi, s)[1])
-    e = _exp_series_fx(pr, s)
-    if j >= 0:
-        e = (e[0] * 2 ** j, e[1] * 2 ** j)
-    else:
-        d = 2 ** (-j)
-        e = (e[0] // d, _ceil_div(e[1], d))
-    return _pair_rescale(e, s, scale)
+    j = (num * 1_442_695 + 500_000 * den) // (1_000_000 * den)
+    jl = sorted(j * l2 for l2 in _cell(s, _ln2_fx))
+    d = 10 ** s
+    y_lo, y_hi = _directed(num * d, num * d, den)
+    # term ratio <= |r| < 0.8
+    e = _series_fx((d, d), (y_lo - jl[1], y_hi - jl[0]), s, ((i, 1) for i in count(1)))
+    # times 2^j, back to scale
+    return _directed(e[0] << max(j, 0), e[1] << max(j, 0), 10 ** 12 << max(-j, 0))
 
 
 def _increasing_fx(kernel: Callable, x: CertifiedReal, scale: int) -> CertifiedReal:
     """Increasing f over x from its directed point kernel, run once for a point."""
-    lo = kernel(x.lo, scale)
-    hi = lo if x.hi == x.lo else kernel(x.hi, scale)
-    return CertifiedReal.from_fixed(lo[0], hi[1], scale)
+    lo = kernel((x.lo_num, x.den), scale)
+    hi = lo if x.hi_num == x.lo_num else kernel((x.hi_num, x.den), scale)
+    return _iv(lo[0], hi[1], 10 ** scale)
 
 
-def _root_point_fx(x: Fraction, scale: int, k: int) -> tuple[int, int]:
+def _root_point_fx(x: tuple[int, int], scale: int, k: int) -> tuple[int, int]:
     """Floor/ceil pair for the k-th root of an exact positive rational."""
-    if x <= 0:
+    if x[0] <= 0:
         raise ValueError("root of non-positive value")
-    n = (x.numerator * 10 ** (k * scale)) // x.denominator
+    n = x[0] * 10 ** (k * scale) // x[1]
     r = _iroot(n, k)
     return r, r + 2  # +2 absorbs the floor in n on top of the root rounding
 
@@ -577,32 +578,29 @@ def _spec_fx(spec: ConstantSpec, scale: int) -> tuple[int, int]:
         pi = pi_interval(scale + t)
         # positive base: endpoint powers and roots are directed automatically
         x = _increasing_fx(partial(_root_point_fx, k=spec.s),
-                           CertifiedReal(pi.lo ** t, pi.hi ** t), scale)
+                           _iv(pi.lo_num ** t, pi.hi_num ** t, pi.den ** t), scale)
         if spec.t < 0:
             x = x.reciprocal()
     elif isinstance(spec, Surd):
-        rt = CertifiedReal.from_fixed(*_root_point_fx(spec.d, scale, 2), scale)
-        x = (Fraction(spec.a) + rt * spec.b) / Fraction(spec.c)
+        rt = CertifiedReal.from_fixed(*_root_point_fx((spec.d, 1), scale, 2), scale)
+        x = (rt * spec.b + spec.a) / spec.c
     else:
         raise TypeError(f"unsupported constant spec: {spec!r}")
-    return _fx_bounds(x.lo, scale)[0], _fx_bounds(x.hi, scale)[1]
+    return _directed(x.lo_num * 10 ** scale, x.hi_num * 10 ** scale, x.den)
 
 
 # ---------------------------------------------------------------------------
 # certified sine with argument reduction
 # ---------------------------------------------------------------------------
 
-_SIN_DOMAIN = Fraction(8, 5)  # series validity bound, slightly above pi/2
-
-
 def _sin_monotone(iv: CertifiedReal, scale: int) -> CertifiedReal:
-    """Sine over an interval inside the increasing branch around 0.
+    """Sine over an interval in the increasing branch, |x| <= 8/5 (past pi/2).
 
     Endpoints may poke past +-pi/2 by a few ulps; the sine deficit there
     is quadratic in the overshoot and stays far below the series slack,
     so the endpoint rule remains an enclosure.
     """
-    if not (-_SIN_DOMAIN <= iv.lo and iv.hi <= _SIN_DOMAIN):
+    if 5 * max(-iv.lo_num, iv.hi_num) > 8 * iv.den:
         raise PrecisionError("sine argument outside reduced range")
     return _increasing_fx(_sin_point_fx, iv, scale)
 
@@ -616,39 +614,42 @@ def sin_certified(x: CertifiedReal, budget: PrecisionBudget) -> CertifiedReal:
     if x.is_zero():
         return CertifiedReal.point(0)
 
-    magnitude = max(abs(x.lo), abs(x.hi))
+    # floor of max |x|: its digits are those of max |x| once that is >= 1
+    magnitude = max(-x.lo_num, x.hi_num) // x.den
     mag_digits = _floor_log10(magnitude) + 1 if magnitude >= 1 else 1
     scale = budget.working + mag_digits + 8
     if scale > budget.cap:
         raise PrecisionError(
             f"sine argument magnitude needs working precision {scale} > cap"
         )
-    if x.width > Fraction(20, 10 ** budget.digits):
+    if (x.hi_num - x.lo_num) * 10 ** budget.digits > 20 * x.den:
         raise PrecisionError("input interval too wide to certify sine")
 
     pi = pi_interval(scale)
-    two_pi = pi * 2
-    k = round(x.midpoint / two_pi.midpoint)
-    r = x - two_pi * k if k else x
+    # the midpoint of x over that of 2 pi, rounded half to even
+    k = round(Fraction((x.lo_num + x.hi_num) * pi.den,
+                       2 * x.den * (pi.lo_num + pi.hi_num)))
+    r = x - pi * (2 * k) if k else x
 
     # sin(-r) = -sin(r) puts the midpoint of r in [0, pi]; r is at most 2
     # wide, so then r.lo > -pi/2
-    flip = r.midpoint < 0
+    flip = r.lo_num + r.hi_num < 0
     r = -r if flip else r
+    r_lo, r_hi, pi_lo, pi_hi, den = _aligned(r, pi)
 
-    def lower(e: Fraction) -> Fraction:
+    def lower(e: int) -> int:
         # past pi/2, sin(e) = sin(pi - e) >= sin(pi.lo - e) on the increasing branch
-        x = pi.lo - e if e > pi.lo / 2 else e
-        return _sin_monotone(CertifiedReal.point(x), scale).lo
+        v = pi_lo - e if 2 * e > pi_lo else e
+        return _sin_monotone(_iv(v, v, den), scale).lo_num
 
-    if r.hi <= pi.lo / 2:
+    if 2 * r_hi <= pi_lo:
         out = _sin_monotone(r, scale)
-    elif r.lo >= pi.hi / 2:
+    elif 2 * r_lo >= pi_hi:
         out = _sin_monotone(pi - r, scale)
     else:
         # straddles the maximum: exact 1 above, the least endpoint sine
         # below, one kernel run per endpoint
-        out = CertifiedReal(min(lower(r.lo), lower(r.hi)), Fraction(1))
+        out = CertifiedReal.from_fixed(min(lower(r_lo), lower(r_hi)), 10 ** scale, scale)
     return -out if flip else out
 
 

@@ -22,7 +22,7 @@ from cfcert import (
     expand,
     surd_expand,
 )
-from cfcert.cf import _shared_prefix
+from cfcert.cf import _euclid, _shared_prefix
 
 from reference_data import PI2_QUOTIENTS_27
 
@@ -162,6 +162,27 @@ class TestSharedPrefix:
         # [3; 1, 1] is canonically [3; 2], so the shared run is [3]
         x = CertifiedReal(Fraction(7, 2), fold([3, 1, 1, 4]))
         assert _shared_prefix(x, 10) == [3]
+
+
+class TestEuclidOnUnreducedRatios:
+    """Euclid's quotients depend on the value of num/den alone, so the
+    endpoints' unreduced numerators over a shared denominator may feed it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_intervals(), st.integers(1, 10 ** 30), st.integers(1, 25))
+    def test_scaled_endpoints_give_the_same_quotients(self, x, factor, max_terms):
+        lowest = [list(_euclid(*end.as_integer_ratio())) for end in (x.lo, x.hi)]
+        # both endpoints over their common denominator, times the factor
+        den = x.lo.denominator * x.hi.denominator * factor
+        unreduced = [list(_euclid(end.numerator * (den // end.denominator), den))
+                     for end in (x.lo, x.hi)]
+        assert unreduced == lowest
+        prefix = []
+        for a, b in zip(*unreduced):
+            if a != b or len(prefix) == max_terms:
+                break
+            prefix.append(a)
+        assert _shared_prefix(x, max_terms) == prefix
 
 
 class TestLongExpansions:

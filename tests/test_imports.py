@@ -1,6 +1,10 @@
-"""Every name a cfcert module imports is used in that module.
+"""Static checks over the modules of cfcert, with the stdlib ``ast``.
 
-``__init__.py`` is exempt: its imports are the public API it re-exports.
+- Every name a module imports is used in that module.  ``__init__.py``
+  is exempt: its imports are the public API it re-exports.
+- Only ``reals.py`` reads CertifiedReal's integer fields ``lo_num``,
+  ``hi_num`` and ``den``, so the representation is decided in one module;
+  the others use its methods and its Fraction views.
 """
 
 import ast
@@ -12,6 +16,7 @@ import cfcert
 
 MODULES = sorted(p for p in Path(cfcert.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+INTEGER_FIELDS = {"lo_num", "hi_num", "den"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,11 +34,40 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
+def integer_field_reads(source: str) -> list[str]:
+    """Every ``x.lo_num``, ``x.hi_num`` or ``x.den`` in the source, and
+    every ``getattr`` naming one of them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in INTEGER_FIELDS:
+            found.append(f"{node.attr} (line {node.lineno})")
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value in INTEGER_FIELDS):
+            found.append(f"{node.value!r} (line {node.lineno})")
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "reals.py"],
+                         ids=lambda p: p.name)
+def test_integer_fields_read_only_in_reals(path):
+    assert integer_field_reads(path.read_text()) == []
+
+
 def test_detects_an_unused_import():
     assert unused_imports("import os\nfrom math import log, gcd\ngcd(4, 6)\n") == [
         "log (line 2)", "os (line 1)"]
+
+
+def test_detects_integer_field_reads():
+    source = ("a = x.lo_num * y.den\n"
+              "b = getattr(x, 'hi_num')\n"
+              "c = x.lo + x.denominator\n")
+    assert integer_field_reads(source) == [
+        "'hi_num' (line 2)", "den (line 1)", "lo_num (line 1)"]
+    assert integer_field_reads(Path(cfcert.__file__).with_name("reals.py")
+                               .read_text())

@@ -1,7 +1,12 @@
 """Kernel tests: constant enclosures, directed rounding, certified sine."""
 
+import copy
+import operator
+from dataclasses import FrozenInstanceError
+from decimal import Decimal
 from fractions import Fraction
-from math import isqrt
+from itertools import count
+from math import ceil, floor, isqrt
 
 import mpmath as mp
 import pytest
@@ -297,7 +302,7 @@ class TestLogExp:
         out = evaluate(CertifiedReal.point(x))
         assert len(calls) == 1
         # the same enclosure as the kernel's lower and upper bounds at x
-        lo, hi = original(x, calls[0])
+        lo, hi = original(x.as_integer_ratio(), calls[0])
         assert out == CertifiedReal.from_fixed(lo, hi, calls[0])
 
 
@@ -393,3 +398,267 @@ class TestBeyondIntStrLimit:
     def test_floor_log10_powers_of_ten(self):
         for k in (-6000, -400, -3, 0, 1, 4400):
             assert _floor_log10(Fraction(10) ** k) == k
+
+
+# -- the Fraction-endpoint formulas that the integer form replaced ---------
+
+def ref_mul(a, b):
+    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(p), max(p)
+
+
+def ref_reciprocal(a):
+    if a[0] <= 0 <= a[1]:
+        raise ZeroDivisionError
+    return 1 / a[1], 1 / a[0]
+
+
+def ref_abs(a):
+    if a[0] >= 0:
+        return a
+    if a[1] <= 0:
+        return -a[1], -a[0]
+    return Fraction(0), max(-a[0], a[1])
+
+
+REF_BINARY = {
+    operator.add: lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    operator.sub: lambda a, b: (a[0] - b[1], a[1] - b[0]),
+    operator.mul: ref_mul,
+    operator.truediv: lambda a, b: ref_mul(a, ref_reciprocal(b)),
+}
+
+small_fractions = st.fractions(-50, 50, max_denominator=10 ** 6)
+
+
+@st.composite
+def intervals(draw):
+    """Intervals in the three forms the package makes: from Fraction
+    endpoints, from a fixed-point pair, and over an unreduced denominator."""
+    a = draw(small_fractions)
+    b = a if draw(st.booleans()) else draw(small_fractions)
+    a, b = min(a, b), max(a, b)
+    form = draw(st.sampled_from(["fractions", "fixed", "unreduced"]))
+    if form == "fractions":
+        return CertifiedReal(a, b)
+    if form == "fixed":
+        scale = draw(st.integers(0, 30))
+        return CertifiedReal.from_fixed(floor(a * 10 ** scale), ceil(b * 10 ** scale),
+                                        scale)
+    den = a.denominator * b.denominator * draw(st.integers(1, 10 ** 12))
+    return reals._iv(a.numerator * (den // a.denominator),
+                     b.numerator * (den // b.denominator), den)
+
+
+def ends(x: CertifiedReal) -> tuple[Fraction, Fraction]:
+    return x.lo, x.hi
+
+
+def same_or_both_raise(compute, reference):
+    try:
+        expected = reference()
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            compute()
+        return
+    assert compute() == expected
+
+
+class TestIntegerForm:
+    """CertifiedReal on integer numerators against the Fraction formulas."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(intervals(), intervals(), small_fractions, st.integers(0, 12))
+    def test_arithmetic_matches_fraction_formulas(self, x, y, c, scale):
+        for op, ref in REF_BINARY.items():
+            same_or_both_raise(lambda: ends(op(x, y)), lambda: ref(ends(x), ends(y)))
+            # a rational operand is its point, on either side but that of "/"
+            same_or_both_raise(lambda: ends(op(x, c)), lambda: ref(ends(x), (c, c)))
+            if op is not operator.truediv:
+                assert ends(op(c, x)) == ref((c, c), ends(x))
+        assert ends(-x) == (-x.hi, -x.lo)
+        assert ends(abs(x)) == ref_abs(ends(x))
+        same_or_both_raise(lambda: ends(x.reciprocal()), lambda: ref_reciprocal(ends(x)))
+        d = 10 ** scale
+        rounded = x.outward(scale)
+        assert ends(rounded) == (Fraction(floor(x.lo * d), d), Fraction(ceil(x.hi * d), d))
+        assert rounded.den == d
+
+    @settings(max_examples=200, deadline=None)
+    @given(intervals(), intervals(), small_fractions)
+    def test_predicates_match_fraction_formulas(self, x, y, c):
+        lo, hi = ends(x)
+        assert x.contains(c) == (lo <= c <= hi)
+        assert x.contains_interval(y) == (lo <= y.lo and y.hi <= hi)
+        assert x.overlaps(y) == (lo <= y.hi and y.lo <= hi)
+        assert x.certainly_less_than(c) == (hi < c)
+        assert x.certainly_greater_than(c) == (lo > c)
+        assert x.certainly_positive() == (lo > 0)
+        assert x.certainly_negative() == (hi < 0)
+        assert x.straddles_zero() == (lo < 0 < hi)
+        assert x.is_zero() == (lo == 0 == hi)
+        assert x.width == hi - lo and x.midpoint == (lo + hi) / 2
+        assert (x == y) == (ends(x) == ends(y))
+
+    @settings(max_examples=100, deadline=None)
+    @given(intervals(), st.integers(2, 10 ** 20))
+    def test_equal_and_hash_by_value(self, x, factor):
+        scaled = reals._iv(x.lo_num * factor, x.hi_num * factor, x.den * factor)
+        assert scaled == x and hash(scaled) == hash(x)
+        assert x + 1 != x
+
+    def test_equal_across_denominators(self):
+        half_one = CertifiedReal(Fraction(1, 2), 1)
+        fixed = CertifiedReal.from_fixed(5, 10, 1)
+        assert (half_one.den, fixed.den) == (2, 10)
+        assert half_one == fixed and hash(half_one) == hash(fixed)
+        assert repr(fixed) == "CertifiedReal(1/2, 1)"
+        assert copy.deepcopy(fixed) == fixed
+
+    def test_immutable(self):
+        x = CertifiedReal.from_fixed(1, 2, 3)
+        for name in ("lo_num", "hi_num", "den", "lo"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(x, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            del x.den
+        assert (x.lo_num, x.hi_num, x.den) == (1, 2, 1000)
+
+    def test_floats_refused(self):
+        # Fraction(0.1) would enclose the binary value 0.1000000000000000055...
+        x = CertifiedReal.point(Fraction(1, 10))
+        for call in (lambda: CertifiedReal.point(0.1), lambda: CertifiedReal(0.1, 1),
+                     lambda: CertifiedReal(0, 0.5), lambda: x.contains(0.1),
+                     lambda: x.certainly_less_than(0.5),
+                     lambda: x.certainly_greater_than(0.5), lambda: x + 0.5,
+                     lambda: x * 2.0):
+            with pytest.raises(TypeError):
+                call()
+
+    @pytest.mark.parametrize("value", [Decimal("0.1"), "0.1", "1/10", Fraction(1, 10)])
+    def test_exact_inputs_accepted(self, value):
+        assert CertifiedReal.point(value).contains(Fraction(1, 10))
+        assert CertifiedReal(value, 1).contains(Fraction(1, 10))
+        assert CertifiedReal.point(3).contains(3)
+
+    @pytest.mark.parametrize("spec", [PiPower(7, 4), Surd(1, 2, 69, 5)],
+                             ids=["pi^7/4", "surd"])
+    def test_constants_read_no_fraction_view(self, monkeypatch, spec):
+        # a lowest-terms view of pi^7's endpoints costs a gcd of 7000-digit
+        # numerators: the kernels must read the integer fields only
+        budget = PrecisionBudget(1000)
+        scale = budget.working + 8 + (spec.t if isinstance(spec, PiPower) else 0)
+        with mp.workdps(scale + 50):
+            value = (mp.pi ** (mp.mpf(spec.t) / spec.s) if isinstance(spec, PiPower)
+                     else (spec.a + spec.b * mp.sqrt(spec.d)) / spec.c)
+            f = int(mp.floor(value * mp.mpf(10) ** scale))
+
+        def refuse(self):
+            raise AssertionError("Fraction view read")
+
+        monkeypatch.setattr(reals, "_KEPT", {})
+        for view in ("lo", "hi", "width", "midpoint"):
+            monkeypatch.setattr(CertifiedReal, view, property(refuse))
+        x = eval_constant(spec, budget)
+        # the one-ulp cell [f, f + 1] 10^-scale
+        assert (x.lo_num, x.hi_num, x.den) == (f, f + 1, 10 ** scale)
+
+
+# -- the three Taylor loops that the one series routine replaced -----------
+
+def ref_pair_mul(a, b, scale):
+    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    d = 10 ** scale
+    return min(p) // d, -(-max(p) // d)
+
+
+def ref_pair_div_int(a, n):
+    return a[0] // n, -(-a[1] // n)
+
+
+def ref_sin_loop(t, scale):
+    neg_t2 = ref_pair_mul(t, t, scale)
+    neg_t2 = (-neg_t2[1], -neg_t2[0])
+    term = t
+    lo, hi = t
+    k = 0
+    while max(abs(term[0]), abs(term[1])) > 8:
+        k += 1
+        term = ref_pair_mul(term, neg_t2, scale)
+        term = ref_pair_div_int(term, (2 * k) * (2 * k + 1))
+        lo += term[0]
+        hi += term[1]
+    return lo - 64, hi + 64
+
+
+def ref_exp_loop(t, scale):
+    one = 10 ** scale
+    term = (one, one)
+    lo = hi = one
+    k = 0
+    while max(abs(term[0]), abs(term[1])) > 8:
+        k += 1
+        term = ref_pair_mul(term, t, scale)
+        term = ref_pair_div_int(term, k)
+        lo += term[0]
+        hi += term[1]
+    return lo - 64, hi + 64
+
+
+def ref_atanh_loop(z, scale):
+    z2 = ref_pair_mul(z, z, scale)
+    power = z
+    lo, hi = z
+    k = 0
+    while max(abs(power[0]), abs(power[1])) > 8:
+        k += 1
+        power = ref_pair_mul(power, z2, scale)
+        term = ref_pair_div_int(power, 2 * k + 1)
+        lo += term[0]
+        hi += term[1]
+    return lo - 64, hi + 64
+
+
+def series_sin(t, scale):
+    t2 = reals._directed(*reals._hull(*t, *t), 10 ** scale)
+    return reals._series_fx(t, (-t2[1], -t2[0]), scale,
+                            ((2 * i * (2 * i + 1), 1) for i in count(1)))
+
+
+def series_exp(t, scale):
+    one = 10 ** scale
+    return reals._series_fx((one, one), t, scale, ((i, 1) for i in count(1)))
+
+
+def series_atanh(z, scale):
+    z2 = reals._directed(*reals._hull(*z, *z), 10 ** scale)
+    return reals._series_fx(z, z2, scale, ((1, 2 * i + 1) for i in count(1)))
+
+
+class TestOneSeries:
+    """The one series routine, called as the kernels call it, is bit-identical
+    to the three loops it replaced on directed pairs in each series' range."""
+
+    @settings(max_examples=9, deadline=None)
+    @given(st.sampled_from([(series_sin, ref_sin_loop, Fraction(8, 5)),
+                            (series_exp, ref_exp_loop, Fraction(4, 5)),
+                            (series_atanh, ref_atanh_loop, Fraction(1, 3))]),
+           st.integers(10, 3000), st.fractions(-1, 1), st.integers(0, 4))
+    @example((series_sin, ref_sin_loop, Fraction(8, 5)), 3000, Fraction(1), 0)
+    @example((series_exp, ref_exp_loop, Fraction(4, 5)), 3000, Fraction(-1), 3)
+    @example((series_atanh, ref_atanh_loop, Fraction(1, 3)), 3000, Fraction(1), 1)
+    # P_1 = (8, 8) is the last power summed: the stop test is |P_k| <= 8
+    @example((series_exp, ref_exp_loop, Fraction(4, 5)), 10, Fraction(1, 10 ** 9), 0)
+    def test_bit_identical_to_replaced_loops(self, series, scale, position, width):
+        fused, loop, bound = series
+        hi = floor(position * bound * 10 ** scale)
+        pair = (hi - width, hi) if position > 0 else (hi, hi + width)
+        assert fused(pair, scale) == loop(pair, scale)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.fractions(Fraction(-8, 5), Fraction(8, 5), max_denominator=10 ** 40),
+           st.integers(10, 400))
+    def test_sine_kernel_matches_replaced_loop(self, x, scale):
+        d = 10 ** scale
+        t = (floor(x * d), ceil(x * d))
+        assert reals._sin_point_fx(x.as_integer_ratio(), scale) == ref_sin_loop(t, scale)
