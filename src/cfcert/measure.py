@@ -25,6 +25,7 @@ from .reals import (
     CertifiedReal,
     ConstantSpec,
     PrecisionBudget,
+    _cell_scale,
     _floor_log10,
     escalate,
     eval_constant,
@@ -82,8 +83,20 @@ def residual(alpha: ConstantSpec, conv: Convergent,
 
 def _working_residual(alpha: ConstantSpec, conv: Convergent,
                       budget: PrecisionBudget) -> tuple[CertifiedReal, PrecisionBudget]:
-    """eps to ``budget.working`` significant digits, and the budget its sines take."""
+    """eps to ``budget.working`` significant digits, and the budget its sines take.
+
+    Starts at the first escalation level that can hold them: for a
+    convergent |eps| < 1/q, and at a level whose cell of alpha is 10^-s
+    wide eps is q 10^-s wide, so a level with q^2 10^(working+1) >= 10^s
+    fails without forming eps.
+    """
+    irrational = exact_value(alpha) is None
+
     def attempt(b: PrecisionBudget) -> CertifiedReal:
+        coarse = conv.q ** 2 >= 10 ** (_cell_scale(alpha, b) - budget.working - 1)
+        if irrational and coarse:
+            raise PrecisionError(f"residual for {conv.p}/{conv.q} cannot hold "
+                                 f"{budget.working} significant digits")
         eps = residual(alpha, conv, b)
         # width <= |eps| 10^-(working+1): below 10^-working of its leading digit
         if eps.width * 10 ** (budget.working + 1) > abs(eps).lo:

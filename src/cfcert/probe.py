@@ -88,9 +88,13 @@ def sine_probe(alpha: ConstantSpec, conv: Convergent,
 def _residual_flags(alpha: ConstantSpec, cur: Convergent, nxt: Convergent,
                     budget: PrecisionBudget) -> tuple[bool, bool, bool]:
     """``probe_table``'s (lower, upper, envelope) flags for ``cur``, from eps
-    and |sin eps| alone; a convergent's |eps| < 1 is inside the envelope's domain."""
-    eps, sine_budget = _working_residual(alpha, cur, budget)
-    return (*_bound_flags(abs(eps), cur, nxt), envelope_check(eps, sine_budget))
+    and |sin eps| alone, escalating while a bound flag is undecided; a
+    convergent's |eps| < 1 is inside the envelope's domain."""
+    def attempt(b: PrecisionBudget) -> tuple[bool, bool, bool]:
+        eps, sine_budget = _working_residual(alpha, cur, b)
+        return (*_bound_flags(abs(eps), cur, nxt), envelope_check(eps, sine_budget))
+
+    return escalate(attempt, budget)
 
 
 def envelope_check(z: CertifiedReal, budget: PrecisionBudget | None = None) -> bool:
@@ -135,6 +139,8 @@ def bound_check(alpha: ConstantSpec, rows: list[ProbeRow],
     row needs its successor in ``convs``; the upper bound implies
     |alpha - p/q| < 1/q^2.  The empirical mu_n rides along so the
     exponent hypothesis can be inspected next to the certified flags.
+    Raises PrecisionError where a row's enclosure leaves a flag undecided;
+    ``probe_table``'s rows decide both.
     """
     budget = budget or PrecisionBudget(60)
     if len(convs) < len(rows) + 1:
@@ -153,20 +159,30 @@ def bound_check(alpha: ConstantSpec, rows: list[ProbeRow],
 
 def _bound_flags(abs_eps: CertifiedReal, cur: Convergent,
                  nxt: Convergent) -> tuple[bool, bool]:
-    """(lower, upper) flags of 1/(q_n + q_n+1) < |eps_n| < 1/q_n+1."""
-    return (abs_eps.certainly_greater_than(Fraction(1, cur.q + nxt.q)),
-            abs_eps.certainly_less_than(Fraction(1, nxt.q)))
+    """(lower, upper) flags of 1/(q_n + q_n+1) < |eps_n| < 1/q_n+1.
+
+    True where the bound is certified, False where it is certainly
+    violated; PrecisionError naming the row where the enclosure holds a bound.
+    """
+    lower, upper = Fraction(1, cur.q + nxt.q), Fraction(1, nxt.q)
+    lo, hi = abs_eps.lo, abs_eps.hi
+    if lo <= lower < hi or lo < upper <= hi:
+        raise PrecisionError(f"row {cur.n + 1}: residual bounds undecided")
+    return lo > lower, hi < upper
 
 
 def probe_table(alpha: ConstantSpec, convs: list[Convergent],
                 budget: PrecisionBudget | None = None) -> list[ProbeRow]:
-    """Probe rows for convs[:-1], bound flags filled from each successor."""
+    """Probe rows for convs[:-1], bound flags filled from each successor;
+    a row escalates while a bound flag is undecided."""
     budget = budget or PrecisionBudget(60)
     if len(convs) < 2:
         raise ValueError("need at least two convergents")
-    out: list[ProbeRow] = []
-    for cur, nxt in zip(convs, convs[1:]):
-        row = sine_probe(alpha, cur, budget)
+
+    def attempt(cur: Convergent, nxt: Convergent, b: PrecisionBudget) -> ProbeRow:
+        row = sine_probe(alpha, cur, b)
         lower, upper = _bound_flags(row.abs_epsilon, cur, nxt)
-        out.append(replace(row, lower_bound_ok=lower, upper_bound_ok=upper))
-    return out
+        return replace(row, lower_bound_ok=lower, upper_bound_ok=upper)
+
+    return [escalate(partial(attempt, cur, nxt), budget)
+            for cur, nxt in zip(convs, convs[1:])]

@@ -221,6 +221,9 @@ class CertifiedReal:
     def __truediv__(self, other) -> "CertifiedReal":
         return self * _as_interval(other).reciprocal()
 
+    def __rtruediv__(self, other) -> "CertifiedReal":
+        return _as_interval(other) * self.reciprocal()
+
     def outward(self, scale: int) -> "CertifiedReal":
         """Round endpoints onto the 10^-scale grid, away from the interior.
 
@@ -561,13 +564,19 @@ def eval_constant(spec: ConstantSpec, budget: PrecisionBudget) -> CertifiedReal:
     if exact is not None:
         return CertifiedReal.point(exact)
 
-    scale = budget.working + 8 + (abs(spec.t) if isinstance(spec, PiPower) else 0)
+    scale = _cell_scale(spec, budget)
     if scale > budget.cap:
         raise PrecisionError(
             f"cannot evaluate {spec.describe()} to {budget.digits} digits "
             f"within precision cap {budget.cap}"
         )
     return CertifiedReal.from_fixed(*_cell(scale, _spec_fx, spec), scale)
+
+
+def _cell_scale(spec: ConstantSpec, budget: PrecisionBudget) -> int:
+    """The scale s of the one-ulp cell, 10^-s wide, that ``eval_constant``
+    returns for an irrational spec at ``budget``."""
+    return budget.working + 8 + (abs(spec.t) if isinstance(spec, PiPower) else 0)
 
 
 def _spec_fx(spec: ConstantSpec, scale: int) -> tuple[int, int]:

@@ -246,6 +246,15 @@ class TestVerifyCommand:
         assert all(abs(x).hi < 1 for x in args)
 
 
+@pytest.mark.parametrize("command", ["probe", "verify"])
+def test_bound_flags_escalate_until_decided(command):
+    # quotients near 2*10^15 put |eps_n| within a relative 10^-31 of its
+    # bounds, which one digit (plus guard) cannot decide
+    argv = (command, "sqrt:1000000000000000000000000000001", "--terms", "8")
+    low, high = run_cli(*argv, "--digits", "1"), run_cli(*argv, "--digits", "60")
+    assert low == high and low[0] == 0
+
+
 class TestCertifiedProbeFormat:
     def test_enclosure_below_float_range(self):
         x = Fraction(123456789, 10 ** 408)

@@ -1,12 +1,17 @@
 """Measure tests: mu_n, the q^(mu-2) column, and full table reproduction."""
 
+import io
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+import cfcert.cli as cli
+import cfcert.measure as measure
 from cfcert import (
+    CertifiedReal,
     Convergent,
     DecimalLiteral,
     PiPower,
@@ -19,7 +24,9 @@ from cfcert import (
     lagrange,
     measure_table,
     mu_n,
+    residual,
 )
+from cfcert.reals import _floor_log10, escalate
 
 from reference_data import PI2_MEASURE_TABLE
 
@@ -175,3 +182,60 @@ class TestMeasureTable:
     def test_row_count_validation(self):
         with pytest.raises(ValueError):
             measure_table(PI2, 0)
+
+
+def ladder_residual(alpha, conv, budget):
+    """Reference for ``_working_residual``: eps formed at every escalation
+    level from ``budget`` on, until one holds ``budget.working`` digits."""
+    def attempt(b):
+        eps = residual(alpha, conv, b)
+        if eps.width * 10 ** (budget.working + 1) > abs(eps).lo:
+            raise PrecisionError("too few significant digits")
+        return eps
+
+    eps = escalate(attempt, budget)
+    lead = 0 if eps.is_zero() else max(0, -_floor_log10(abs(eps).lo))
+    return eps, replace(budget, digits=budget.digits + lead)
+
+
+class TestWorkingResidual:
+    @pytest.mark.parametrize("alpha", [
+        PI2, PiPower(3, 4), PiPower(-2, 3), Surd(0, 1, 199, 1), Surd(1, 2, 69, 5),
+    ], ids=["pi2", "pi^3/4", "pi^-2/3", "sqrt:199", "surd:1,2,69,5"])
+    def test_rows_1_to_200_match_full_ladder(self, alpha):
+        convs = list(convergents_iter(expand(alpha, 200, PrecisionBudget(60)), 199))
+        assert len(convs) == 200
+        for budget in (PrecisionBudget(1), PrecisionBudget(5), PrecisionBudget(60)):
+            for conv in convs:
+                eps, sine_budget = measure._working_residual(alpha, conv, budget)
+                ref_eps, ref_budget = ladder_residual(alpha, conv, budget)
+                assert (eps.lo, eps.hi, sine_budget) == (ref_eps.lo, ref_eps.hi, ref_budget)
+
+    def test_literal_rows_are_points_at_the_first_level(self):
+        # q_n^2 reaches 10^18 here, which would skip the first level of an
+        # irrational; the cap leaves room for the sine budget's leading
+        # zeros but not for a second level
+        alpha = DecimalLiteral("0.123456789")
+        budget = PrecisionBudget(5, cap=25)
+        quotients = expand(alpha, 20, budget)
+        for conv in convergents_iter(quotients, len(quotients.terms) - 1):
+            eps, sine_budget = measure._working_residual(alpha, conv, budget)
+            assert eps == CertifiedReal.point(alpha.value * conv.q - conv.p)
+            assert (eps, sine_budget) == ladder_residual(alpha, conv, budget)
+
+    @pytest.mark.parametrize("command, rows", [
+        ("probe pi2 --rows 200 --format csv", 200),
+        ("verify pi2 --terms 200", 200),
+        ("measure pi2 --rows 150 --format csv", 150),
+    ])
+    def test_one_residual_attempt_per_row(self, monkeypatch, command, rows):
+        calls = []
+        original = measure.residual
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(measure, "residual", counted)
+        assert cli.run(command.split(), out=io.StringIO()) == 0
+        assert len(calls) <= rows + 2

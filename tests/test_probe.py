@@ -23,6 +23,7 @@ from cfcert import (
     residual,
     sine_probe,
 )
+from cfcert.probe import _bound_flags
 
 PI2 = PiPower(2, 1)
 
@@ -155,6 +156,16 @@ class TestBoundCheck:
         row = sine_probe(PI2, fake, budget)
         reports = bound_check(PI2, [row], [fake, Convergent(3, 79, 8)], budget)
         assert reports[0].upper_bound_ok is False
+
+    def test_flags_certified_both_ways(self):
+        cur, nxt = Convergent(2, 1, 1), Convergent(3, 6, 7)
+        # 1/8 < |eps| is certain and |eps| < 1/7 certainly violated
+        decided = CertifiedReal(Fraction(1, 7), Fraction(1, 6))
+        assert _bound_flags(decided, cur, nxt) == (True, False)
+        # an enclosure holding 1/7 or 1/8 decides neither way
+        for lo, hi in (("1/10", "1/5"), ("1/9", "2/15")):
+            with pytest.raises(PrecisionError, match="row 3"):
+                _bound_flags(CertifiedReal(Fraction(lo), Fraction(hi)), cur, nxt)
 
     def test_golden_ratio_rows(self):
         budget = PrecisionBudget(60)
