@@ -14,6 +14,7 @@ from typing import Iterator
 
 from .errors import PrecisionError
 from .reals import (
+    DEFAULT_PRECISION_CAP,
     CertifiedReal,
     ConstantSpec,
     PrecisionBudget,
@@ -172,8 +173,11 @@ def certify(spec: ConstantSpec, want_terms: int,
 def surd_expand(spec: Surd, want_terms: int) -> SurdExpansion:
     """Expansion of (a + b*sqrt(d))/c by the integer (P, Q) recurrence.
 
-    All terms are exact, hence certified; the period is detected by
-    repetition of the recurrence state.
+    All terms are exact, hence certified.  By Galois' theorem the expansion
+    is purely periodic from the first reduced complete quotient (x > 1,
+    -1 < conjugate < 0), so the period ends where that state recurs.
+    Raises PrecisionError if no period closes within
+    ``DEFAULT_PRECISION_CAP`` quotients.
     """
     if not isinstance(spec, Surd):
         raise TypeError("surd_expand requires a Surd constant")
@@ -188,21 +192,22 @@ def surd_expand(spec: Surd, want_terms: int) -> SurdExpansion:
     if (d - p * p) % q:
         p, d, q = p * abs(q), d * q * q, q * abs(q)
 
-    sqrt_d = isqrt(d)
+    s = isqrt(d)
     terms: list[int] = []
-    seen: dict[tuple[int, int], int] = {}
+    reduced = None
     preperiod = period = -1
     while period < 0 or len(terms) < want_terms:
-        state = (p, q)
         if period < 0:
-            if state in seen:
-                preperiod = seen[state]
+            if (p, q) == reduced:
                 period = len(terms) - preperiod
-            else:
-                seen[state] = len(terms)
+            elif reduced is None and q > 0 and p <= s and q - p <= s < p + q:
+                reduced, preperiod = (p, q), len(terms)
+            elif len(terms) > DEFAULT_PRECISION_CAP:
+                raise PrecisionError(f"surd period longer than "
+                                     f"{DEFAULT_PRECISION_CAP} quotients")
         if period > 0 and len(terms) >= want_terms:
             break
-        a = (p + sqrt_d) // q if q > 0 else (p + sqrt_d + 1) // q
+        a = (p + s) // q if q > 0 else (p + s + 1) // q
         terms.append(a)
         p = a * q - p
         q = (d - p * p) // q

@@ -24,16 +24,8 @@ from .convergents import (
 )
 from .errors import PrecisionError
 from .measure import _mu_rows, measure_table
-from .probe import _residual_flags, probe_table
-from .reals import (
-    CertifiedReal,
-    ConstantSpec,
-    DecimalLiteral,
-    PiPower,
-    PrecisionBudget,
-    Surd,
-    _floor_log10,
-)
+from .probe import _probe_rows, _residual_flags
+from .reals import ConstantSpec, DecimalLiteral, PiPower, PrecisionBudget, Surd
 
 _ENGINES = ("iter", "matrix", "fast")
 _BENCH_SIZES = (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5)
@@ -146,48 +138,23 @@ def _cmd_probe(args, out) -> int:
     quotients = expand(spec, args.terms, budget)
     upto = min(args.terms, quotients.certified_count) - 1
     convs = convergents_iter(quotients, upto)
-    rows = probe_table(spec, convs, budget)
-
-    # every cell is certified before any row is printed
-    cells = [[_sci6(iv, r.display_n) for iv in
-              (r.epsilon, r.sin_direct, r.sin_reduced, r.sin_unscaled)] for r in rows]
+    rows = _probe_rows(spec, convs, budget)
     if args.format == "csv":
         _print(out, "n,epsilon,sin_direct,sin_reduced,sin_unscaled,"
                     "lower_ok,upper_ok,envelope_ok")
-        for r, row_cells in zip(rows, cells):
+        for r, row_cells in rows:
             _print(out, f"{r.display_n},{','.join(row_cells)},"
                         f"{r.lower_bound_ok},{r.upper_bound_ok},{r.envelope_ok}")
     else:
         _print(out, f"{'n':>3}  {'epsilon':>14}  {'|sin(direct)|':>14}  "
                     f"{'|sin(pi*eps)|':>14}  {'|sin(eps)|':>14}  bounds  envelope")
-        for r, row_cells in zip(rows, cells):
+        for r, row_cells in rows:
             bounds = "ok" if (r.lower_bound_ok and r.upper_bound_ok) else "FAIL"
             env = {True: "ok", False: "FAIL", None: "-"}[r.envelope_ok]
             _print(out, f"{r.display_n:>3}  "
                         + "".join(f"{c:>14}  " for c in row_cells)
                         + f"{bounds:>6}  {env}")
     return 0
-
-
-def _sci6(iv: CertifiedReal | None, row: int) -> str:
-    """``%.6e`` of an enclosure ("" if None), each endpoint rounded exactly,
-    half to even; PrecisionError naming the row if the two differ."""
-    if iv is None:
-        return ""
-    texts = []
-    for x in (iv.lo, iv.hi):
-        e = _floor_log10(abs(x)) if x else 0
-        n, d = abs(x.numerator), x.denominator * 10 ** max(0, e - 6)
-        digits, r = divmod(n * 10 ** max(0, 6 - e), d)  # in [10^6, 10^7)
-        digits += 2 * r > d or (2 * r == d and digits % 2)  # half to even
-        if digits == 10 ** 7:
-            digits, e = 10 ** 6, e + 1
-        texts.append(f"{'-' if x < 0 else ''}{digits // 10 ** 6}."
-                     f"{digits % 10 ** 6:06d}e{e:+03d}")
-    if texts[0] != texts[1]:
-        raise PrecisionError(f"probe row {row}: enclosure rounds to both "
-                             f"{texts[0]} and {texts[1]}")
-    return texts[0]
 
 
 def _cmd_verify(args, out) -> int:

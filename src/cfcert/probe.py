@@ -174,15 +174,46 @@ def _bound_flags(abs_eps: CertifiedReal, cur: Convergent,
 def probe_table(alpha: ConstantSpec, convs: list[Convergent],
                 budget: PrecisionBudget | None = None) -> list[ProbeRow]:
     """Probe rows for convs[:-1], bound flags filled from each successor;
-    a row escalates while a bound flag is undecided."""
+    a row escalates while a bound flag or a printed cell is undecided."""
+    return [row for row, _ in _probe_rows(alpha, convs, budget)]
+
+
+def _probe_rows(alpha: ConstantSpec, convs: list[Convergent],
+                budget: PrecisionBudget | None) -> list[tuple[ProbeRow, list[str]]]:
+    """``probe_table``'s rows, each with its four ``%.6e`` cells (epsilon and
+    the three sines), rounded once inside the row's ``escalate``."""
     budget = budget or PrecisionBudget(60)
     if len(convs) < 2:
         raise ValueError("need at least two convergents")
 
-    def attempt(cur: Convergent, nxt: Convergent, b: PrecisionBudget) -> ProbeRow:
+    def attempt(cur: Convergent, nxt: Convergent,
+                b: PrecisionBudget) -> tuple[ProbeRow, list[str]]:
         row = sine_probe(alpha, cur, b)
         lower, upper = _bound_flags(row.abs_epsilon, cur, nxt)
-        return replace(row, lower_bound_ok=lower, upper_bound_ok=upper)
+        cells = [_sci6(iv, row.display_n) for iv in
+                 (row.epsilon, row.sin_direct, row.sin_reduced, row.sin_unscaled)]
+        return replace(row, lower_bound_ok=lower, upper_bound_ok=upper), cells
 
     return [escalate(partial(attempt, cur, nxt), budget)
             for cur, nxt in zip(convs, convs[1:])]
+
+
+def _sci6(iv: CertifiedReal | None, row: int) -> str:
+    """``%.6e`` of an enclosure ("" if None), each endpoint rounded exactly,
+    half to even; PrecisionError naming the row if the two differ."""
+    if iv is None:
+        return ""
+    texts = []
+    for x in (iv.lo, iv.hi):
+        e = _floor_log10(abs(x)) if x else 0
+        n, d = abs(x.numerator), x.denominator * 10 ** max(0, e - 6)
+        digits, r = divmod(n * 10 ** max(0, 6 - e), d)  # in [10^6, 10^7)
+        digits += 2 * r > d or (2 * r == d and digits % 2)  # half to even
+        if digits == 10 ** 7:
+            digits, e = 10 ** 6, e + 1
+        texts.append(f"{'-' if x < 0 else ''}{digits // 10 ** 6}."
+                     f"{digits % 10 ** 6:06d}e{e:+03d}")
+    if texts[0] != texts[1]:
+        raise PrecisionError(f"probe row {row}: enclosure rounds to both "
+                             f"{texts[0]} and {texts[1]}")
+    return texts[0]

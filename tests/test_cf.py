@@ -1,7 +1,7 @@
 """Expansion tests: certified quotients, escalation, exact surd recurrence."""
 
 from fractions import Fraction
-from math import floor
+from math import floor, isqrt
 
 import mpmath as mp
 import pytest
@@ -22,6 +22,7 @@ from cfcert import (
     expand,
     surd_expand,
 )
+import cfcert.cf as cf
 from cfcert.cf import _euclid, _shared_prefix
 
 from reference_data import PI2_QUOTIENTS_27
@@ -35,6 +36,36 @@ def mp_expansion(x, n: int) -> list[int]:
         terms.append(a)
         x = 1 / (x - a)
     return terms
+
+
+def dict_loop_expansion(spec: Surd, want_terms: int) -> tuple[tuple[int, ...], int, int]:
+    """(terms, preperiod, period) by the (P, Q) recurrence, the period found
+    by keeping every state until one repeats."""
+    if spec.b > 0:
+        p, q, d = spec.a, spec.c, spec.d * spec.b * spec.b
+    else:
+        p, q, d = -spec.a, -spec.c, spec.d * spec.b * spec.b
+    if (d - p * p) % q:
+        p, d, q = p * abs(q), d * q * q, q * abs(q)
+    sqrt_d = isqrt(d)
+    terms: list[int] = []
+    seen: dict[tuple[int, int], int] = {}
+    preperiod = period = -1
+    while period < 0 or len(terms) < want_terms:
+        state = (p, q)
+        if period < 0:
+            if state in seen:
+                preperiod = seen[state]
+                period = len(terms) - preperiod
+            else:
+                seen[state] = len(terms)
+        if period > 0 and len(terms) >= want_terms:
+            break
+        a = (p + sqrt_d) // q if q > 0 else (p + sqrt_d + 1) // q
+        terms.append(a)
+        p = a * q - p
+        q = (d - p * p) // q
+    return tuple(terms), preperiod, period
 
 
 class TestExpand:
@@ -265,6 +296,27 @@ class TestSurdExpand:
         interval = expand(spec, 15, PrecisionBudget(60))
         n = min(15, interval.certified_count)
         assert list(exact.quotients.terms[:n]) == list(interval.terms[:n])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-10 ** 4, 10 ** 4), st.integers(-50, 50).filter(bool),
+           st.integers(2, 10 ** 5), st.integers(-10 ** 3, 10 ** 3).filter(bool),
+           st.integers(1, 60))
+    def test_period_matches_state_repetition(self, a, b, d, c, want):
+        if isqrt(d) ** 2 == d:
+            return
+        sx = surd_expand(Surd(a, b, d, c), want)
+        expected = dict_loop_expansion(Surd(a, b, d, c), want)
+        assert (sx.quotients.terms, sx.preperiod, sx.period) == expected
+
+    def test_period_within_cap(self):
+        sx = surd_expand(Surd(0, 1, 10 ** 13 + 37, 1), 10)
+        assert (sx.preperiod, sx.period) == (1, 493361)
+
+    def test_period_past_cap_fails_fast(self, monkeypatch):
+        monkeypatch.setattr(cf, "DEFAULT_PRECISION_CAP", 1000)
+        with pytest.raises(PrecisionError, match="longer than 1000 quotients"):
+            surd_expand(Surd(0, 1, 10 ** 13 + 37, 1), 10)
+        assert surd_expand(Surd(0, 1, 7, 1), 5).period == 4
 
     def test_rejects_perfect_square(self):
         with pytest.raises(ValueError):

@@ -255,22 +255,48 @@ def test_bound_flags_escalate_until_decided(command):
     assert low == high and low[0] == 0
 
 
+@pytest.mark.parametrize("constant", ["pi2", "sqrt:199",
+                                      "sqrt:1000000000000000000000000000001"])
+@pytest.mark.parametrize("command", ["measure", "probe", "verify"])
+def test_stdout_independent_of_digits(command, constant):
+    # every printed cell is decided inside its row's escalate, so --digits
+    # sets where the precision starts, never what is printed; probe row 11
+    # of sqrt(10^30 + 1) has |eps| a relative 2.75e-30 below a %.6e tie
+    argv = (command, constant, "--terms", "35")
+    low, high = run_cli(*argv, "--digits", "1"), run_cli(*argv, "--digits", "60")
+    assert low == high and low[0] == 0
+
+
+def test_probe_rounds_each_cell_once(monkeypatch):
+    calls = []
+    original = probe._sci6
+
+    def counted(iv, row):
+        calls.append(row)
+        return original(iv, row)
+
+    monkeypatch.setattr(probe, "_sci6", counted)
+    code, out = run_cli("probe", "pi2", "--rows", "30", "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 30
+    assert len(calls) == 29 * 4  # four cells per printed row, none twice
+
+
 class TestCertifiedProbeFormat:
     def test_enclosure_below_float_range(self):
         x = Fraction(123456789, 10 ** 408)
         tiny = Fraction(1, 10 ** 420)
-        assert cli._sci6(CertifiedReal(x - tiny, x + tiny), 7) == "1.234568e-400"
+        assert probe._sci6(CertifiedReal(x - tiny, x + tiny), 7) == "1.234568e-400"
 
     def test_too_wide_enclosure_names_row(self):
         # the endpoints round to 1.234565e-03 and 1.234566e-03
         eps = CertifiedReal(Fraction(12345654, 10 ** 10), Fraction(12345656, 10 ** 10))
         with pytest.raises(PrecisionError, match="row 7"):
-            cli._sci6(eps, 7)
+            probe._sci6(eps, 7)
 
     def test_sign_zero_and_ties(self):
         def sci6(x):
-            return cli._sci6(CertifiedReal.point(x), 1)
-        assert cli._sci6(None, 1) == ""
+            return probe._sci6(CertifiedReal.point(x), 1)
+        assert probe._sci6(None, 1) == ""
         assert sci6(Fraction(0)) == "0.000000e+00"
         assert sci6(Fraction(-1, 3)) == "-3.333333e-01"
         assert sci6(Fraction(-2, 3 * 10 ** 5)) == "-6.666667e-06"
@@ -349,6 +375,13 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "measure_table", boom)
         code, _ = run_cli("measure", "pi2", "--terms", "5")
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["verify", "bench"])
+    def test_long_surd_period_fails_fast(self, command, capsys):
+        # the period of sqrt(10^20 + 39) is longer than 10^6 quotients
+        code, _ = run_cli(command, "sqrt:100000000000000000039", "--terms", "10")
+        assert code == 1
+        assert "surd period longer than 1000000 quotients" in capsys.readouterr().err
 
     def test_plot_only_for_measure(self):
         code, _ = run_cli("expand", "pi2", "--format", "plot")
