@@ -34,15 +34,11 @@ class PartialQuotients:
     """
 
     terms: tuple[int, ...]
-    certified_count: int
-    source: ConstantSpec | None = None
     terminated: bool = False
 
     def __post_init__(self):
         if not self.terms:
             raise ValueError("empty expansion")
-        if not 0 <= self.certified_count <= len(self.terms):
-            raise ValueError("certified_count out of range")
         if any(a < 1 for a in self.terms[1:]):
             raise ValueError("partial quotients after a_0 must be >= 1")
 
@@ -129,7 +125,7 @@ def expand(spec: ConstantSpec, want_terms: int,
     exact = exact_value(spec)
     if exact is not None:
         terms = list(_euclid(*exact.as_integer_ratio()))
-        return PartialQuotients(tuple(terms), len(terms), spec, terminated=True)
+        return PartialQuotients(tuple(terms), terminated=True)
 
     best: list[int] = []
 
@@ -144,7 +140,7 @@ def expand(spec: ConstantSpec, want_terms: int,
                 f"certified only {len(best)} of {want_terms} quotients",
                 certified_count=len(best),
             )
-        return PartialQuotients(tuple(best), len(best), spec)
+        return PartialQuotients(tuple(best))
 
     return escalate(attempt, budget)
 
@@ -212,5 +208,4 @@ def surd_expand(spec: Surd, want_terms: int) -> SurdExpansion:
         p = a * q - p
         q = (d - p * p) // q
 
-    quotients = PartialQuotients(tuple(terms), len(terms), spec)
-    return SurdExpansion(quotients, preperiod, period)
+    return SurdExpansion(PartialQuotients(tuple(terms)), preperiod, period)

@@ -82,7 +82,7 @@ def _cmd_expand(args, out) -> int:
 def _cmd_convergents(args, out) -> int:
     spec = parse_constant(args.constant)
     quotients = expand(spec, args.terms, PrecisionBudget(args.digits))
-    upto = min(args.terms, quotients.certified_count) - 1
+    upto = min(args.terms, len(quotients)) - 1
     if args.engine == "fast":
         convs = [convergents_fast(quotients, upto)]
     elif args.engine == "matrix":
@@ -136,7 +136,7 @@ def _cmd_probe(args, out) -> int:
     spec = parse_constant(args.constant)
     budget = PrecisionBudget(args.digits)
     quotients = expand(spec, args.terms, budget)
-    upto = min(args.terms, quotients.certified_count) - 1
+    upto = min(args.terms, len(quotients)) - 1
     convs = convergents_iter(quotients, upto)
     rows = _probe_rows(spec, convs, budget)
     if args.format == "csv":
@@ -161,7 +161,7 @@ def _cmd_verify(args, out) -> int:
     spec = parse_constant(args.constant)
     budget = PrecisionBudget(args.digits)
     quotients = expand(spec, args.terms, budget)
-    n_avail = min(args.terms, quotients.certified_count)
+    n_avail = min(args.terms, len(quotients))
     upto = n_avail - 1
     results = []
 
@@ -211,6 +211,8 @@ def _bench_quotients(args) -> list[int]:
     if spec_token == "random":
         rng = random.Random(args.seed if args.seed is not None else 0)
         return [rng.randint(1, 9) for _ in range(n)]
+    if args.seed is not None:
+        raise ValueError("--seed applies only to bench random")
     spec = parse_constant(spec_token)
     if isinstance(spec, Surd):
         return list(surd_expand(spec, n).quotients.terms[:n])

@@ -14,8 +14,6 @@ from itertools import islice
 from math import gcd
 from typing import Iterator, Sequence
 
-from .cf import PartialQuotients
-
 
 class WorkCounter:
     """Tallies big-integer multiplication work, machine-independently.
@@ -103,12 +101,6 @@ class Mat2:
 
 
 def _terms_of(quotients, upto: int) -> Sequence[int]:
-    if isinstance(quotients, PartialQuotients):
-        if upto >= quotients.certified_count:
-            raise IndexError(
-                f"index {upto} beyond certified prefix of {quotients.certified_count}"
-            )
-        return quotients.terms
     terms = list(quotients)
     if upto >= len(terms):
         raise IndexError(f"index {upto} beyond {len(terms)} quotients")

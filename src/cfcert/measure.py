@@ -113,17 +113,17 @@ def mu_n(alpha: ConstantSpec, conv: Convergent,
          budget: PrecisionBudget) -> Decimal | None:
     """Certified -log|alpha - p/q| / log q, ceiled to six decimals.
 
-    None when q = 1.  As |alpha - p/q| = |eps|/q for the residual
-    eps = q*alpha - p, mu = 1 - ln|eps| / ln q, with eps to
+    None when q = 1 or when eps is exactly zero.  As |alpha - p/q| = |eps|/q
+    for the residual eps = q*alpha - p, mu = 1 - ln|eps| / ln q, with eps to
     ``budget.working`` significant digits.  The logs start at 11 digits
     and double up to max(working, 7) + 4; past that, PrecisionError, and
-    callers escalate.  Raises ZeroDivisionError when eps is exactly zero.
+    callers escalate.
     """
     if conv.q == 1:
         return None
     eps, _ = _working_residual(alpha, conv, budget)
     if eps.is_zero():
-        raise ZeroDivisionError("exact convergent: approximation error is zero")
+        return None
 
     def attempt(b: PrecisionBudget) -> Decimal:
         lnq = ln_certified(CertifiedReal.point(conv.q), b.working)
@@ -188,20 +188,9 @@ def _mu_rows(alpha: ConstantSpec, rows: int,
     budget = budget or PrecisionBudget(60)
 
     quotients = expand(alpha, rows, budget)
-    upto = min(rows, quotients.certified_count) - 1
-    convs = convergents_iter(quotients, upto)
-    is_exact = exact_value(alpha) is not None
-
     out: list[MeasureRow] = []
-    for conv in convs:
-        if conv.q == 1:
-            out.append(MeasureRow(conv.n + 1, conv.p, conv.q, None,
-                                  _as_decimal(_SCALE)))
-            continue
-        if is_exact and quotients.terminated and conv.n == len(quotients.terms) - 1:
-            # final convergent of a rational equals the value exactly
-            out.append(MeasureRow(conv.n + 1, conv.p, conv.q, None, None))
-            continue
+    for conv in convergents_iter(quotients, min(rows, len(quotients)) - 1):
         mu = escalate(partial(mu_n, alpha, conv), budget)
-        out.append(MeasureRow(conv.n + 1, conv.p, conv.q, mu, None))
+        unit = _as_decimal(_SCALE) if conv.q == 1 else None  # q^(mu - 2) = 1 at q = 1
+        out.append(MeasureRow(conv.n + 1, conv.p, conv.q, mu, unit))
     return out

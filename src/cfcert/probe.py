@@ -150,9 +150,7 @@ def bound_check(alpha: ConstantSpec, rows: list[ProbeRow],
         if cur.n + 1 != row.display_n:
             raise ValueError("rows and convergents are misaligned")
         lower, upper = _bound_flags(row.abs_epsilon, cur, nxt)
-        mu = None
-        if cur.q > 1 and not row.abs_epsilon.is_zero():
-            mu = escalate(partial(mu_n, alpha, cur), budget)
+        mu = escalate(partial(mu_n, alpha, cur), budget)
         reports.append(BoundReport(row.display_n, lower, upper, mu))
     return reports
 

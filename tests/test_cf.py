@@ -5,7 +5,7 @@ from math import floor, isqrt
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfcert import (
@@ -38,9 +38,11 @@ def mp_expansion(x, n: int) -> list[int]:
     return terms
 
 
-def dict_loop_expansion(spec: Surd, want_terms: int) -> tuple[tuple[int, ...], int, int]:
+def dict_loop_expansion(spec: Surd,
+                        want_terms: int) -> tuple[tuple[int, ...], int, int] | None:
     """(terms, preperiod, period) by the (P, Q) recurrence, the period found
-    by keeping every state until one repeats."""
+    by keeping every state until one repeats; None where no state repeats
+    within ``cf.DEFAULT_PRECISION_CAP`` quotients, as ``surd_expand`` stops."""
     if spec.b > 0:
         p, q, d = spec.a, spec.c, spec.d * spec.b * spec.b
     else:
@@ -57,6 +59,8 @@ def dict_loop_expansion(spec: Surd, want_terms: int) -> tuple[tuple[int, ...], i
             if state in seen:
                 preperiod = seen[state]
                 period = len(terms) - preperiod
+            elif len(terms) > cf.DEFAULT_PRECISION_CAP:
+                return None
             else:
                 seen[state] = len(terms)
         if period > 0 and len(terms) >= want_terms:
@@ -72,7 +76,7 @@ class TestExpand:
     def test_pi2_27_terms(self):
         q = expand(PiPower(2, 1), 27)
         assert list(q.terms[:27]) == PI2_QUOTIENTS_27
-        assert q.certified_count >= 27
+        assert len(q) >= 27
 
     def test_pi_prefix_against_oracle(self):
         q = expand(PiPower(1, 1), 20)
@@ -83,7 +87,7 @@ class TestExpand:
         q = expand(DecimalLiteral("0.5"), 10)
         assert list(q.terms) == [0, 2]
         assert q.terminated
-        assert q.certified_count == 2
+        assert len(q) == 2
 
     def test_literal_canonical_last_quotient(self):
         # canonical form ends with a quotient >= 2 whenever length > 1
@@ -273,7 +277,7 @@ class TestSurdExpand:
 
     def test_all_terms_certified(self):
         sx = surd_expand(Surd(3, 2, 13, 5), 25)
-        assert sx.quotients.certified_count == len(sx.quotients.terms) >= 25
+        assert len(sx.quotients) == len(sx.quotients.terms) >= 25
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(-9, 9), st.integers(1, 9), st.integers(2, 80),
@@ -294,18 +298,23 @@ class TestSurdExpand:
         spec = Surd(a, b, d, c)
         exact = surd_expand(spec, 15)
         interval = expand(spec, 15, PrecisionBudget(60))
-        n = min(15, interval.certified_count)
+        n = min(15, len(interval))
         assert list(exact.quotients.terms[:n]) == list(interval.terms[:n])
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(-10 ** 4, 10 ** 4), st.integers(-50, 50).filter(bool),
            st.integers(2, 10 ** 5), st.integers(-10 ** 3, 10 ** 3).filter(bool),
            st.integers(1, 60))
+    @example(a=1, b=43, d=100000, c=500, want=1)  # period 1,607,468: past the cap
     def test_period_matches_state_repetition(self, a, b, d, c, want):
         if isqrt(d) ** 2 == d:
             return
-        sx = surd_expand(Surd(a, b, d, c), want)
         expected = dict_loop_expansion(Surd(a, b, d, c), want)
+        if expected is None:
+            with pytest.raises(PrecisionError, match="surd period longer than"):
+                surd_expand(Surd(a, b, d, c), want)
+            return
+        sx = surd_expand(Surd(a, b, d, c), want)
         assert (sx.quotients.terms, sx.preperiod, sx.period) == expected
 
     def test_period_within_cap(self):
@@ -330,12 +339,10 @@ class TestSurdExpand:
 class TestPartialQuotients:
     def test_validation(self):
         with pytest.raises(ValueError):
-            PartialQuotients((), 0)
+            PartialQuotients(())
         with pytest.raises(ValueError):
-            PartialQuotients((1, 0, 2), 3)
-        with pytest.raises(ValueError):
-            PartialQuotients((1, 2), 5)
+            PartialQuotients((1, 0, 2))
 
     def test_sequence_protocol(self):
-        q = PartialQuotients((9, 1, 6), 3)
+        q = PartialQuotients((9, 1, 6))
         assert len(q) == 3 and q[1] == 1 and list(q) == [9, 1, 6]

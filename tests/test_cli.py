@@ -350,6 +350,7 @@ class TestExitCodes:
         ("bench", "golden", "--digits", "60"),
         ("bench", "golden", "--engine", "iter"),
         ("bench", "golden", "--format", "csv"),
+        ("bench", "golden", "--seed", "3"),
     ])
     def test_flag_unread_by_subcommand(self, argv):
         code, _ = run_cli(*argv)

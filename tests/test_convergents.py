@@ -61,7 +61,7 @@ class TestIterEngine:
     def test_certified_bound_respected(self):
         q = expand(PiPower(2, 1), 10)
         with pytest.raises(IndexError):
-            convergents_iter(q, q.certified_count)
+            convergents_iter(q, len(q))
 
 
 class TestMatrixEngine:

@@ -150,6 +150,15 @@ class TestBoundCheck:
         for rep in reports[2:]:
             assert rep.mu is not None and rep.mu > 2
 
+    def test_mu_absent_without_exponent(self):
+        budget = PrecisionBudget(40)
+        # q = 1, and the exact last convergent of 1/2 with a fabricated successor
+        for alpha, cur, nxt in ((PI2, Convergent(0, 9, 1), Convergent(1, 10, 1)),
+                                (DecimalLiteral("0.5"), Convergent(1, 1, 2),
+                                 Convergent(2, 1, 3))):
+            row = sine_probe(alpha, cur, budget)
+            assert bound_check(alpha, [row], [cur, nxt], budget)[0].mu is None
+
     def test_fabricated_non_convergent_fails_upper(self):
         budget = PrecisionBudget(40)
         fake = Convergent(2, 22, 7)  # a fine pi convergent, not one of pi^2
