@@ -3,7 +3,12 @@
 The iterative recurrence, the sequential 2x2 matrix product, and a
 balanced product tree all compute the same exact rationals; the tree
 trades the recurrence's quadratic big-integer work for quasi-linear
-work under subquadratic integer multiplication.
+work under subquadratic integer multiplication.  No engine multiplies
+by a known 0 or 1: the matrix engine folds each quotient matrix
+[[a, 1], [1, 0]] in closed form (two products), and the tree runs on
+plain 4-tuples through the one 8-product routine that ``Mat2.mul``
+also uses.  ``check_determinant`` verifies the identity directly only
+where the recurrence does not already certify it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ class WorkCounter:
 
     Each product contributes the sum of its operands' bit lengths, so the
     counter tracks the input size fed to the multiplier rather than wall
-    time.
+    time.  Only products actually performed are recorded: two per
+    quotient for the recurrence and the matrix engine, eight per 2x2
+    product in the tree.
     """
 
     def __init__(self):
@@ -76,22 +83,8 @@ class Mat2:
         return cls(a, 1, 1, 0)
 
     def mul(self, other: "Mat2", counter: WorkCounter | None = None) -> "Mat2":
-        if counter is not None:
-            # eight products in a 2x2 multiply
-            counter.record(self.m00, other.m00)
-            counter.record(self.m01, other.m10)
-            counter.record(self.m00, other.m01)
-            counter.record(self.m01, other.m11)
-            counter.record(self.m10, other.m00)
-            counter.record(self.m11, other.m10)
-            counter.record(self.m10, other.m01)
-            counter.record(self.m11, other.m11)
-        return Mat2(
-            self.m00 * other.m00 + self.m01 * other.m10,
-            self.m00 * other.m01 + self.m01 * other.m11,
-            self.m10 * other.m00 + self.m11 * other.m10,
-            self.m10 * other.m01 + self.m11 * other.m11,
-        )
+        return Mat2(*_mul4((self.m00, self.m01, self.m10, self.m11),
+                           (other.m00, other.m01, other.m10, other.m11), counter))
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return self.mul(other)
@@ -100,7 +93,27 @@ class Mat2:
         return self.m00 * self.m11 - self.m01 * self.m10
 
 
+def _mul4(x: tuple[int, int, int, int], y: tuple[int, int, int, int],
+          counter: WorkCounter | None) -> tuple[int, int, int, int]:
+    """The 2x2 product x*y of row-major 4-tuples: eight products."""
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    if counter is not None:
+        counter.record(x00, y00)
+        counter.record(x01, y10)
+        counter.record(x00, y01)
+        counter.record(x01, y11)
+        counter.record(x10, y00)
+        counter.record(x11, y10)
+        counter.record(x10, y01)
+        counter.record(x11, y11)
+    return (x00 * y00 + x01 * y10, x00 * y01 + x01 * y11,
+            x10 * y00 + x11 * y10, x10 * y01 + x11 * y11)
+
+
 def _terms_of(quotients, upto: int) -> Sequence[int]:
+    if upto < 0:
+        raise IndexError(f"index {upto} is negative")
     terms = list(quotients)
     if upto >= len(terms):
         raise IndexError(f"index {upto} beyond {len(terms)} quotients")
@@ -130,12 +143,20 @@ def _matrix_pairs(terms: Sequence[int], upto: int,
     """(p_n, q_n) for n = 0..upto from the running matrix product.
 
     After folding a_0..a_n the product is [[p_n, p_n-1], [q_n, q_n-1]];
-    its first column is read off at every step.
+    its first column is read off at every step.  Each step right-multiplies
+    the product by [[a, 1], [1, 0]] in closed form,
+    [[a*m00 + m01, m00], [a*m10 + m11, m10]], so of the eight products
+    only the two by a are performed and recorded.
     """
-    acc = Mat2.identity()
+    m00, m01, m10, m11 = 1, 0, 0, 1
     for n in range(upto + 1):
-        acc = acc.mul(Mat2.quotient(terms[n]), counter)
-        yield acc.m00, acc.m10
+        a = terms[n]
+        if counter is not None:
+            counter.record(a, m00)
+            counter.record(a, m10)
+        m00, m01 = a * m00 + m01, m00
+        m10, m11 = a * m10 + m11, m10
+        yield m00, m10
 
 
 _PAIR_STREAMS = {"iter": _recurrence_pairs, "matrix": _matrix_pairs}
@@ -160,18 +181,19 @@ def convergents_fast(quotients, n: int,
     """The single convergent p_n/q_n via a balanced product tree.
 
     Adjacent factors are multiplied pairwise level by level, preserving
-    the left-to-right order of the non-commutative product.
+    the left-to-right order of the non-commutative product.  The levels
+    hold plain row-major 4-tuples, so no ``Mat2`` is built per product.
     """
     terms = _terms_of(quotients, n)
-    level = [Mat2.quotient(terms[i]) for i in range(n + 1)]
+    level = [(terms[i], 1, 1, 0) for i in range(n + 1)]
     while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(level[i].mul(level[i + 1], counter))
+        nxt = [_mul4(level[i], level[i + 1], counter)
+               for i in range(0, len(level) - 1, 2)]
         if len(level) % 2:
             nxt.append(level[-1])
         level = nxt
-    return Convergent(n, level[0].m00, level[0].m10)
+    p, _, q, _ = level[0]
+    return Convergent(n, p, q)
 
 
 def final_convergent(quotients, n: int, engine: str = "iter",
@@ -186,17 +208,31 @@ def final_convergent(quotients, n: int, engine: str = "iter",
         return convergents_fast(quotients, n, counter)
     if engine not in _PAIR_STREAMS:
         raise ValueError(f"unknown engine {engine!r}")
-    p, q = 1, 0  # the seeds p_-1, q_-1, left when the stream is empty
     for p, q in _PAIR_STREAMS[engine](_terms_of(quotients, n), n, counter):
         pass  # keep only the last pair
     return Convergent(n, p, q)
 
 
 def check_determinant(seq: Sequence[Convergent]) -> bool:
-    """Whether p_n*q_n-1 - p_n-1*q_n = (-1)^(n-1) along the sequence."""
-    for prev, cur in zip(seq, seq[1:]):
-        det = cur.p * prev.q - prev.p * cur.q
-        if det != (-1) ** (cur.n - 1):
+    """Whether p_n*q_n-1 - p_n-1*q_n = (-1)^(n-1) along the sequence.
+
+    The first pair is checked by its two products.  After that, a pair
+    with consecutive indices that the recurrence links to the pair
+    before it, p_n = a*p_n-1 + p_n-2 and q_n = a*q_n-1 + q_n-2 for
+    a = (q_n - q_n-2) // q_n-1, has determinant exactly minus the
+    previous one, so the previous pair's verdict carries over; each such
+    test costs time linear in the size.  Any other pair falls back to
+    the two products, so the verdict is the direct check's on every
+    input.
+    """
+    for i in range(1, len(seq)):
+        prev, cur = seq[i - 1], seq[i]
+        if i > 1 and cur.n == prev.n + 1:
+            before = seq[i - 2]
+            a = (cur.q - before.q) // prev.q
+            if cur.p == a * prev.p + before.p and cur.q == a * prev.q + before.q:
+                continue  # det = -(previous det), which passed
+        if cur.p * prev.q - prev.p * cur.q != (1 if cur.n % 2 else -1):
             return False
     return True
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -41,6 +42,49 @@ def fold_rational(terms) -> Fraction:
     for a in reversed(terms[:-1]):
         value = a + 1 / value
     return value
+
+
+def recurrence_reference(terms) -> tuple[int, int]:
+    """(p, q) of the whole expansion by the plain two-term recurrence."""
+    p0, p1, q0, q1 = 0, 1, 1, 0
+    for a in terms:
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+    return p1, q1
+
+
+def direct_check_determinant(seq) -> bool:
+    """The determinant identity by two full products per pair."""
+    for prev, cur in zip(seq, seq[1:]):
+        det = cur.p * prev.q - prev.p * cur.q
+        if det != (-1) ** (cur.n - 1):
+            return False
+    return True
+
+
+@st.composite
+def convergent_sequences(draw):
+    """Convergent runs, valid or with tampered values or indices."""
+    terms = draw(expansions)
+    seq = convergents_iter(terms, len(terms) - 1)
+    seq = seq[draw(st.integers(0, len(seq) - 1)):]
+    if draw(st.booleans()):  # renumber from 0, whatever the first index was
+        seq = [Convergent(i, c.p, c.q) for i, c in enumerate(seq)]
+    if draw(st.booleans()):  # shift every index
+        shift = draw(st.integers(-4, 4))
+        seq = [Convergent(c.n + shift, c.p, c.q) for c in seq]
+    if draw(st.booleans()):  # a gap in the indices from some position on
+        at, gap = draw(st.integers(0, len(seq) - 1)), draw(st.integers(-3, 3))
+        seq = seq[:at] + [Convergent(c.n + gap, c.p, c.q) for c in seq[at:]]
+    for _ in range(draw(st.integers(0, 2))):  # replace one p or one q
+        i = draw(st.integers(0, len(seq) - 1))
+        c = seq[i]
+        if draw(st.booleans()):
+            c = Convergent(c.n, draw(st.integers(-10**6, 10**6)), c.q)
+        else:
+            c = Convergent(c.n, c.p, draw(st.integers(1, 10**6)))
+        seq[i] = c
+    return seq
 
 
 class TestIterEngine:
@@ -114,6 +158,79 @@ class TestFastEngine:
         assert counter.multiplications == 8 * 31
         assert counter.bits > 0
 
+    def test_work_counter_pinned(self):
+        # the tree keeps its merge order and its eight records per product
+        rng = random.Random(7)
+        terms = [rng.randint(1, 9) for _ in range(10_000)]
+        counter = WorkCounter()
+        convergents_fast(terms, 9_999, counter)
+        assert (counter.bits, counter.multiplications) == (2_147_344, 79_992)
+
+
+class TestWorkCounters:
+    @pytest.mark.parametrize("terms", [
+        gauss_kuzmin_like(3_000, seed=3),
+        [1] * 3_000,
+    ], ids=["gauss-kuzmin", "ones"])
+    def test_matrix_records_two_products_per_quotient(self, terms):
+        n = len(terms) - 1
+        ref, final, listed = WorkCounter(), WorkCounter(), WorkCounter()
+        final_convergent(terms, n, "iter", ref)
+        final_convergent(terms, n, "matrix", final)
+        convergents_matrix(terms, n, listed)
+        assert ref.multiplications == 2 * len(terms)
+        for counter in (final, listed):
+            assert (counter.bits, counter.multiplications) == (
+                ref.bits, ref.multiplications)
+
+    def test_mat2_mul_records_eight_products(self):
+        x, y = Mat2(3, 5, 7, 11), Mat2(13, 17, 19, 23)
+        counter = WorkCounter()
+        product = x.mul(y, counter)
+        assert product == x @ y == Mat2(134, 166, 300, 372)
+        # each entry of either factor takes part in two of the eight
+        assert counter.multiplications == 8
+        assert counter.bits == 2 * sum(v.bit_length() for v in (3, 5, 7, 11, 13, 17, 19, 23))
+
+
+@lru_cache(maxsize=None)
+def scale_case(stream: str) -> tuple[list[int], tuple[int, int]]:
+    terms = gauss_kuzmin_like(20_001, seed=11) if stream == "gauss-kuzmin" else [1] * 20_001
+    return terms, recurrence_reference(terms)
+
+
+class TestAtScale:
+    @pytest.mark.parametrize("engine", ["iter", "matrix", "fast"])
+    @pytest.mark.parametrize("stream", ["gauss-kuzmin", "ones"])
+    def test_final_convergent_matches_recurrence(self, stream, engine):
+        terms, (p, q) = scale_case(stream)
+        got = final_convergent(terms, 20_000, engine)
+        assert (got.n, got.p, got.q) == (20_000, p, q)
+
+    def test_mat2_public_api(self):
+        q3, q4 = Mat2.quotient(3), Mat2.quotient(4)
+        assert q3.mul(q4) == q3 @ q4 == Mat2(13, 3, 4, 1)
+        assert Mat2.identity() @ q3 == q3 @ Mat2.identity() == q3
+        assert (q3 @ q4).determinant() == 1
+        assert fib_power(3) == Mat2.quotient(1) @ Mat2.quotient(1) @ Mat2.quotient(1)
+
+
+class TestNegativeIndex:
+    @pytest.mark.parametrize("call", [
+        lambda t: convergents_iter(t, -1),
+        lambda t: convergents_matrix(t, -1),
+        lambda t: convergents_fast(t, -1),
+        lambda t: final_convergent(t, -1, "iter"),
+        lambda t: final_convergent(t, -1, "matrix"),
+        lambda t: final_convergent(t, -1, "fast"),
+        lambda t: telescoping_sum(t, -1),
+        lambda t: list(_telescoping_sums(t, -2)),
+    ], ids=["iter", "matrix", "fast", "final-iter", "final-matrix",
+            "final-fast", "telescoping", "telescoping-sums"])
+    def test_every_engine_rejects_it(self, call):
+        with pytest.raises(IndexError, match=r"index -\d+ is negative"):
+            call([9, 1, 6])
+
 
 class TestFinalConvergent:
     @pytest.mark.parametrize("engine", ["iter", "matrix", "fast"])
@@ -148,6 +265,25 @@ class TestIdentities:
         assert all(c.is_reduced() for c in convs)
         for prev, cur in zip(convs[1:], convs[2:]):
             assert cur.q > prev.q
+
+    @settings(max_examples=300, deadline=None)
+    @given(convergent_sequences())
+    def test_determinant_matches_direct_products(self, seq):
+        assert check_determinant(seq) == direct_check_determinant(seq)
+
+    def test_determinant_rejections(self):
+        convs = convergents_iter(gauss_kuzmin_like(60, seed=2), 59)
+        assert check_determinant(convs)
+        tampered = list(convs)
+        tampered[40] = Convergent(40, convs[40].p + 1, convs[40].q)
+        assert not check_determinant(tampered)
+        # indices start at 0 but the values are those of n = 1, 2, ...
+        assert not check_determinant([Convergent(i, c.p, c.q)
+                                      for i, c in enumerate(convs[1:])])
+        # an index gap flips the expected sign halfway along
+        gapped = convs[:30] + [Convergent(c.n + 1, c.p, c.q) for c in convs[30:]]
+        assert not check_determinant(gapped)
+        assert check_determinant([Convergent(c.n + 2, c.p, c.q) for c in convs])
 
     def test_telescoping_examples(self):
         assert telescoping_sum([9, 1, 6], 2) == Fraction(69, 7)
