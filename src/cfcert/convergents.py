@@ -3,12 +3,12 @@
 The iterative recurrence, the sequential 2x2 matrix product, and a
 balanced product tree all compute the same exact rationals; the tree
 trades the recurrence's quadratic big-integer work for quasi-linear
-work under subquadratic integer multiplication.  No engine multiplies
-by a known 0 or 1: the matrix engine folds each quotient matrix
-[[a, 1], [1, 0]] in closed form (two products), and the tree runs on
-plain 4-tuples through the one 8-product routine that ``Mat2.mul``
-also uses.  ``check_determinant`` verifies the identity directly only
-where the recurrence does not already certify it.
+work under subquadratic integer multiplication.  The matrix engine and
+the tree run on plain row-major 4-tuples through the one 8-product
+routine that ``Mat2.mul`` also uses, so the matrix engine stays an
+arithmetic independent of the recurrence.  ``check_determinant``
+verifies the identity directly only where the recurrence does not
+already certify it.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ class WorkCounter:
 
     Each product contributes the sum of its operands' bit lengths, so the
     counter tracks the input size fed to the multiplier rather than wall
-    time.  Only products actually performed are recorded: two per
-    quotient for the recurrence and the matrix engine, eight per 2x2
-    product in the tree.
+    time.  The recurrence records two products per quotient; every 2x2
+    product, in the matrix engine and in the tree, records eight.
     """
 
     def __init__(self):
@@ -143,20 +142,14 @@ def _matrix_pairs(terms: Sequence[int], upto: int,
     """(p_n, q_n) for n = 0..upto from the running matrix product.
 
     After folding a_0..a_n the product is [[p_n, p_n-1], [q_n, q_n-1]];
-    its first column is read off at every step.  Each step right-multiplies
-    the product by [[a, 1], [1, 0]] in closed form,
-    [[a*m00 + m01, m00], [a*m10 + m11, m10]], so of the eight products
-    only the two by a are performed and recorded.
+    its first column is read off at every step.  Each step is a full
+    2x2 product with [[a, 1], [1, 0]], so this engine cross-checks the
+    recurrence by other arithmetic rather than restating it.
     """
-    m00, m01, m10, m11 = 1, 0, 0, 1
+    acc = (1, 0, 0, 1)
     for n in range(upto + 1):
-        a = terms[n]
-        if counter is not None:
-            counter.record(a, m00)
-            counter.record(a, m10)
-        m00, m01 = a * m00 + m01, m00
-        m10, m11 = a * m10 + m11, m10
-        yield m00, m10
+        acc = _mul4(acc, (terms[n], 1, 1, 0), counter)
+        yield acc[0], acc[2]
 
 
 _PAIR_STREAMS = {"iter": _recurrence_pairs, "matrix": _matrix_pairs}
