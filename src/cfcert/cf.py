@@ -14,6 +14,7 @@ from typing import Iterator
 
 from .errors import PrecisionError
 from .reals import (
+    DEFAULT_BUDGET,
     DEFAULT_PRECISION_CAP,
     CertifiedReal,
     ConstantSpec,
@@ -111,8 +112,8 @@ def _certified_prefix(spec: ConstantSpec, want_terms: int,
 
 
 def expand(spec: ConstantSpec, want_terms: int,
-           budget: PrecisionBudget | None = None) -> PartialQuotients:
-    """At least ``want_terms`` certified quotients, escalating precision.
+           budget: PrecisionBudget = DEFAULT_BUDGET) -> PartialQuotients:
+    """At least ``want_terms`` certified quotients, escalating from ``budget``.
 
     Exact rationals return their full terminating expansion instead
     (possibly shorter than requested).  Raises PrecisionError with the
@@ -120,7 +121,6 @@ def expand(spec: ConstantSpec, want_terms: int,
     """
     if want_terms < 1:
         raise ValueError("want_terms must be >= 1")
-    budget = budget or PrecisionBudget(60)
 
     exact = exact_value(spec)
     if exact is not None:
@@ -146,8 +146,8 @@ def expand(spec: ConstantSpec, want_terms: int,
 
 
 def certify(spec: ConstantSpec, want_terms: int,
-            budget: PrecisionBudget | None = None) -> int:
-    """Length of the quotient prefix certified at this budget alone.
+            budget: PrecisionBudget = DEFAULT_BUDGET) -> int:
+    """Length of the quotient prefix certified at ``budget`` alone.
 
     Euclid on the endpoints of one enclosure, rounded outward to the
     ``working`` grid; no escalation.
@@ -155,7 +155,6 @@ def certify(spec: ConstantSpec, want_terms: int,
     """
     if want_terms < 1:
         raise ValueError("want_terms must be >= 1")
-    budget = budget or PrecisionBudget(60)
     exact = exact_value(spec)
     if exact is not None:
         return len(list(_euclid(*exact.as_integer_ratio())))

@@ -25,7 +25,8 @@ from .convergents import (
 from .errors import PrecisionError
 from .measure import _mu_rows, measure_table
 from .probe import _probe_rows, _residual_flags
-from .reals import ConstantSpec, DecimalLiteral, PiPower, PrecisionBudget, Surd
+from .reals import (DEFAULT_BUDGET, ConstantSpec, DecimalLiteral, PiPower,
+                    PrecisionBudget, Surd)
 
 _ENGINES = ("iter", "matrix", "fast")
 _BENCH_SIZES = (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5)
@@ -67,8 +68,7 @@ def _print(out, line: str = "") -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_expand(args, out) -> int:
-    spec = parse_constant(args.constant)
-    quotients = expand(spec, args.terms, PrecisionBudget(args.digits))
+    quotients = expand(parse_constant(args.constant), args.terms)
     shown = quotients.terms[:args.terms]
     if args.format == "csv":
         _print(out, "n,a")
@@ -80,8 +80,7 @@ def _cmd_expand(args, out) -> int:
 
 
 def _cmd_convergents(args, out) -> int:
-    spec = parse_constant(args.constant)
-    quotients = expand(spec, args.terms, PrecisionBudget(args.digits))
+    quotients = expand(parse_constant(args.constant), args.terms)
     upto = min(args.terms, len(quotients)) - 1
     if args.engine == "fast":
         convs = [convergents_fast(quotients, upto)]
@@ -107,25 +106,24 @@ def _measure_text(rows, out) -> None:
               f"{'mu_n':>9}  {'q^(mu_n-2)':>12}")
     _print(out, header)
     for r in rows:
-        mu = "" if r.mu is None else str(r.mu)
-        lag = "" if r.lagrange is None else str(r.lagrange)
+        mu, lag = ("" if x is None else str(x) for x in (r.mu, r.lagrange))
         _print(out, f"{r.display_n:>{wn}}  {r.p:>{wp}}  {r.q:>{wq}}  "
                     f"{mu:>9}  {lag:>12}")
 
 
 def _cmd_measure(args, out) -> int:
     spec = parse_constant(args.constant)
+    budget = PrecisionBudget(args.digits)
     if args.format == "plot":
-        for r in _mu_rows(spec, args.terms, PrecisionBudget(args.digits)):
+        for r in _mu_rows(spec, args.terms, budget):
             if r.mu is not None:
                 _print(out, f"({r.display_n},{r.mu})")
         return 0
-    rows = measure_table(spec, args.terms, PrecisionBudget(args.digits))
+    rows = measure_table(spec, args.terms, budget)
     if args.format == "csv":
         _print(out, "n,p,q,mu,lagrange")
         for r in rows:
-            mu = "" if r.mu is None else str(r.mu)
-            lag = "" if r.lagrange is None else str(r.lagrange)
+            mu, lag = ("" if x is None else str(x) for x in (r.mu, r.lagrange))
             _print(out, f"{r.display_n},{r.p},{r.q},{mu},{lag}")
     else:
         _measure_text(rows, out)
@@ -183,8 +181,9 @@ def _cmd_verify(args, out) -> int:
     convs = convergents_iter(quotients, upto)
     report("determinant identity", check_determinant(convs))
 
-    bad = next((f"first failure at n={c.n}" for total, c in
-                zip(_telescoping_sums(quotients, upto), convs) if total != c.value), "")
+    sums = _telescoping_sums(quotients, upto)
+    bad = next((f"first failure at n={c.n}" for pair, c in zip(sums, convs)
+                if pair != (c.p, c.q)), "")
     report("telescoping identity", not bad, bad)
 
     matrix = convergents_matrix(quotients, upto)
@@ -206,16 +205,14 @@ def _cmd_verify(args, out) -> int:
 
 
 def _bench_quotients(args) -> list[int]:
-    spec_token = args.constant
-    n = args.terms
-    if spec_token == "random":
+    if args.constant == "random":
         rng = random.Random(args.seed if args.seed is not None else 0)
-        return [rng.randint(1, 9) for _ in range(n)]
+        return [rng.randint(1, 9) for _ in range(args.terms)]
     if args.seed is not None:
         raise ValueError("--seed applies only to bench random")
-    spec = parse_constant(spec_token)
+    spec = parse_constant(args.constant)
     if isinstance(spec, Surd):
-        return list(surd_expand(spec, n).quotients.terms[:n])
+        return list(surd_expand(spec, args.terms).quotients.terms[:args.terms])
     # bench times the engines on reproducible exact quotient streams
     raise ValueError("bench needs a surd constant (e.g. golden, sqrt:2) or 'random'")
 
@@ -261,8 +258,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--terms", "--rows", "-n", dest="terms", type=int,
                        default=30, help="terms / table rows (default 30)")
         if "--digits" in flags:
-            p.add_argument("--digits", type=int, default=60,
-                           help="certified decimal digits (default 60)")
+            p.add_argument("--digits", type=int, default=DEFAULT_BUDGET.digits,
+                           help="significant digits, plus guard digits, of every "
+                                "residual: where precision starts, not what is "
+                                "printed (default %(default)s)")
         if "--engine" in flags:
             p.add_argument("--engine", choices=_ENGINES, default="iter")
         if "--format" in flags:
@@ -270,9 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if "--seed" in flags:
             p.add_argument("--seed", type=int, default=None)
 
-    command("expand", "certified partial quotients", "--digits", "--format")
-    command("convergents", "convergents p_n/q_n",
-            "--digits", "--engine", "--format")
+    command("expand", "certified partial quotients", "--format")
+    command("convergents", "convergents p_n/q_n", "--engine", "--format")
     command("measure", "irrationality-measure table", "--digits", "--format",
             formats=("text", "csv", "plot"))
     command("probe", "residual and sine-probe table", "--digits", "--format")

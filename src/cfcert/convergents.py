@@ -230,23 +230,24 @@ def check_determinant(seq: Sequence[Convergent]) -> bool:
     return True
 
 
-def _telescoping_sums(quotients, upto: int) -> Iterator[Fraction]:
-    """a_0 + sum_{0<=k<n} (-1)^k / (q_k * q_k+1) for n = 0..upto, in one pass."""
+def _telescoping_sums(quotients, upto: int) -> Iterator[tuple[int, int]]:
+    """a_0 + sum_{0<=k<n} (-1)^k / (q_k * q_k+1) as (N_n, q_n) for n = 0..upto,
+    by N_k+1 = (N_k * q_k+1 + (-1)^k) / q_k: exact, as N_k = p_k and
+    p_k+1 * q_k - p_k * q_k+1 = (-1)^k for any integer quotients; no gcd."""
     terms = _terms_of(quotients, upto)
-    total = Fraction(terms[0])
-    yield total
-    q_prev, sign = 1, 1  # q_0 = 1
+    total, q_prev, sign = terms[0], 1, 1  # q_0 = 1
+    yield total, q_prev
     for _, q in islice(_recurrence_pairs(terms, upto, None), 1, None):
-        total += Fraction(sign, q_prev * q)
-        yield total
+        total = (total * q + sign) // q_prev
+        yield total, q
         q_prev, sign = q, -sign
 
 
 def telescoping_sum(quotients, n: int) -> Fraction:
     """a_0 + sum_{0<=k<n} (-1)^k / (q_k * q_k+1), exactly p_n/q_n."""
-    for total in _telescoping_sums(quotients, n):
+    for last in _telescoping_sums(quotients, n):
         pass  # keep only the last sum
-    return total
+    return Fraction(*last)
 
 
 def fib_power(n: int) -> Mat2:

@@ -22,6 +22,7 @@ from .cf import expand
 from .convergents import Convergent, convergents_iter
 from .errors import PrecisionError
 from .reals import (
+    DEFAULT_BUDGET,
     CertifiedReal,
     ConstantSpec,
     PrecisionBudget,
@@ -170,8 +171,8 @@ def lagrange(q: int, mu) -> Decimal:
 
 
 def measure_table(alpha: ConstantSpec, rows: int,
-                  budget: PrecisionBudget | None = None) -> list[MeasureRow]:
-    """Rows 1..rows of the measure table, escalating precision as needed.
+                  budget: PrecisionBudget = DEFAULT_BUDGET) -> list[MeasureRow]:
+    """Rows 1..rows of the measure table, escalating from ``budget`` as needed.
 
     Display index n is the 0-based convergent index plus one.  For exact
     rational constants the table stops at the terminating expansion.
@@ -181,12 +182,10 @@ def measure_table(alpha: ConstantSpec, rows: int,
 
 
 def _mu_rows(alpha: ConstantSpec, rows: int,
-             budget: PrecisionBudget | None) -> list[MeasureRow]:
+             budget: PrecisionBudget) -> list[MeasureRow]:
     """``measure_table``'s rows without q^(mu_n - 2) where mu_n is present."""
     if rows < 1:
         raise ValueError("rows must be >= 1")
-    budget = budget or PrecisionBudget(60)
-
     quotients = expand(alpha, rows, budget)
     out: list[MeasureRow] = []
     for conv in convergents_iter(quotients, min(rows, len(quotients)) - 1):

@@ -19,6 +19,7 @@ from .convergents import Convergent
 from .errors import PrecisionError
 from .measure import _working_residual, mu_n
 from .reals import (
+    DEFAULT_BUDGET,
     CertifiedReal,
     ConstantSpec,
     PiPower,
@@ -132,17 +133,16 @@ def _envelope_holds(abs_z: CertifiedReal, sin_abs: CertifiedReal,
 
 def bound_check(alpha: ConstantSpec, rows: list[ProbeRow],
                 convs: list[Convergent],
-                budget: PrecisionBudget | None = None) -> list[BoundReport]:
+                budget: PrecisionBudget = DEFAULT_BUDGET) -> list[BoundReport]:
     """Certified classical bounds 1/(q_n + q_n+1) < |eps_n| < 1/q_n+1.
 
     ``convs[i]`` must be the convergent of ``rows[i]`` and each checked
     row needs its successor in ``convs``; the upper bound implies
-    |alpha - p/q| < 1/q^2.  The empirical mu_n rides along so the
-    exponent hypothesis can be inspected next to the certified flags.
+    |alpha - p/q| < 1/q^2.  The empirical mu_n, from ``budget`` up, rides
+    along so the exponent hypothesis can be read next to the certified flags.
     Raises PrecisionError where a row's enclosure leaves a flag undecided;
     ``probe_table``'s rows decide both.
     """
-    budget = budget or PrecisionBudget(60)
     if len(convs) < len(rows) + 1:
         raise ValueError("need the successor convergent for every checked row")
     reports: list[BoundReport] = []
@@ -170,17 +170,16 @@ def _bound_flags(abs_eps: CertifiedReal, cur: Convergent,
 
 
 def probe_table(alpha: ConstantSpec, convs: list[Convergent],
-                budget: PrecisionBudget | None = None) -> list[ProbeRow]:
-    """Probe rows for convs[:-1], bound flags filled from each successor;
-    a row escalates while a bound flag or a printed cell is undecided."""
+                budget: PrecisionBudget = DEFAULT_BUDGET) -> list[ProbeRow]:
+    """Probe rows for convs[:-1], bound flags filled from each successor; a
+    row escalates from ``budget`` while a bound flag or printed cell is undecided."""
     return [row for row, _ in _probe_rows(alpha, convs, budget)]
 
 
 def _probe_rows(alpha: ConstantSpec, convs: list[Convergent],
-                budget: PrecisionBudget | None) -> list[tuple[ProbeRow, list[str]]]:
+                budget: PrecisionBudget) -> list[tuple[ProbeRow, list[str]]]:
     """``probe_table``'s rows, each with its four ``%.6e`` cells (epsilon and
     the three sines), rounded once inside the row's ``escalate``."""
-    budget = budget or PrecisionBudget(60)
     if len(convs) < 2:
         raise ValueError("need at least two convergents")
 

@@ -68,6 +68,9 @@ class PrecisionBudget:
         return PrecisionBudget(working - self.guard, self.guard, self.cap)
 
 
+DEFAULT_BUDGET = PrecisionBudget(60)  # default start of escalation and of --digits
+
+
 def escalate(attempt: Callable[[PrecisionBudget], T], budget: PrecisionBudget) -> T:
     """``attempt(budget)``, rerun at ``budget.escalated()`` after each PrecisionError.
 

@@ -1,5 +1,6 @@
 """CLI tests: formats, golden outputs, exit codes, determinism."""
 
+import inspect
 import io
 import math
 import re
@@ -15,7 +16,17 @@ import cfcert.cli as cli
 import cfcert.measure as measure
 import cfcert.probe as probe
 import cfcert.reals as reals
-from cfcert import CertifiedReal, PrecisionError, fib_power
+from cfcert import (
+    CertifiedReal,
+    PrecisionBudget,
+    PrecisionError,
+    bound_check,
+    certify,
+    expand,
+    fib_power,
+    measure_table,
+    probe_table,
+)
 
 from reference_data import PI2_MEASURE_TABLE, PI2_PLOT_COORDS, PI2_QUOTIENTS_27
 
@@ -340,7 +351,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("expand", "pi2", "--seed", "3"),
         ("expand", "pi2", "--engine", "matrix"),
+        ("expand", "pi2", "--terms", "5", "--digits", "60"),
         ("convergents", "pi2", "--seed", "3"),
+        ("convergents", "pi2", "--terms", "5", "--digits", "60"),
         ("measure", "pi2", "--engine", "fast"),
         ("measure", "pi2", "--seed", "3"),
         ("probe", "pi2", "--engine", "iter"),
@@ -387,6 +400,20 @@ class TestExitCodes:
     def test_plot_only_for_measure(self):
         code, _ = run_cli("expand", "pi2", "--format", "plot")
         assert code == 2
+
+
+class TestDefaultBudget:
+    def test_one_budget_for_every_default(self):
+        # the five public functions and the CLI's --digits share one object
+        functions = (expand, certify, measure_table, probe_table, bound_check)
+        defaults = {f.__name__: inspect.signature(f).parameters["budget"].default
+                    for f in functions}
+        assert all(d is reals.DEFAULT_BUDGET for d in defaults.values()), defaults
+        assert reals.DEFAULT_BUDGET == PrecisionBudget(60)
+        parser = cli._build_parser()
+        for command in ("measure", "probe", "verify"):
+            args = parser.parse_args([command, "pi2"])
+            assert args.digits == reals.DEFAULT_BUDGET.digits
 
 
 class TestModuleEntry:

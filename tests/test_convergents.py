@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -23,7 +24,7 @@ from cfcert import (
     final_convergent,
     telescoping_sum,
 )
-from cfcert.convergents import _telescoping_sums
+from cfcert.convergents import _recurrence_pairs, _telescoping_sums
 
 # any first quotient >= 0, later ones >= 1
 expansions = st.tuples(
@@ -35,6 +36,18 @@ def gauss_kuzmin_like(n: int, seed: int) -> list[int]:
     """Seeded quotients with P(a = k) = 1/k - 1/(k+1)."""
     rng = random.Random(seed)
     return [int(1 / (1 - rng.random())) for _ in range(n)]
+
+
+def fraction_telescoping_sums(terms, upto: int):
+    """The Fraction loop that ``_telescoping_sums`` replaced: every partial
+    sum is a reduced Fraction.  Kept as the reference."""
+    total = Fraction(terms[0])
+    yield total
+    q_prev, sign = 1, 1  # q_0 = 1
+    for _, q in islice(_recurrence_pairs(terms, upto, None), 1, None):
+        total += Fraction(sign, q_prev * q)
+        yield total
+        q_prev, sign = q, -sign
 
 
 def fold_rational(terms) -> Fraction:
@@ -298,8 +311,21 @@ class TestIdentities:
         sums = list(_telescoping_sums(terms, 300))
         convs = convergents_iter(terms, 300)
         assert len(sums) == 301
-        for n, (total, c) in enumerate(zip(sums, convs)):
-            assert total == telescoping_sum(terms, n) == Fraction(c.p, c.q)
+        for n, (pair, c) in enumerate(zip(sums, convs)):
+            assert Fraction(*pair) == telescoping_sum(terms, n) == Fraction(c.p, c.q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(), st.lists(st.integers(min_value=1), max_size=40))
+    def test_pairs_match_the_fraction_loop(self, a0, rest):
+        # any integer a_0, later quotients >= 1
+        terms = [a0] + rest
+        n = len(terms) - 1
+        expected = list(fraction_telescoping_sums(terms, n))
+        pairs = list(_telescoping_sums(terms, n))
+        # each pair is its sum in lowest terms, so no division was inexact
+        assert pairs == [(f.numerator, f.denominator) for f in expected]
+        total = telescoping_sum(terms, n)
+        assert type(total) is Fraction and total == expected[-1]
 
 
 class TestFibPower:

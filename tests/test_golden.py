@@ -1,6 +1,6 @@
 """Golden CLI output: stdout (as sha256) and exit code per command.
 
-These pin the bytes that measure, probe and verify print, so a refactor
+These pin the bytes that every command but bench prints, so a refactor
 that should not change the output is held to that.  After a deliberate
 output change, print the new digests with
 
@@ -48,6 +48,18 @@ GOLDEN = {
     # the precision cap: exit 1 before any row is printed
     "verify pi2 --terms 10 --digits 999990":
         (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "expand pi2 --terms 1040":
+        (0, "b8a393dfd7888654cc64f63a73bf19109a7486c9539a024d2b9afe3117f0f7a6"),
+    "expand pi^7/4 --terms 300 --format csv":
+        (0, "599d94018628614958c62678fe97c0aa7ed2322d49cd9fc077d52bdd863c4946"),
+    "expand surd:1,2,69,5 --terms 500":
+        (0, "c4c0fd02646e1afb175bc468a65e8428b3a0690b7ee65fbe7b9d6373f746b68c"),
+    "convergents pi^-2/3 --terms 120 --format csv":
+        (0, "cb682cbb25141890c2b7ea8e8015f7955db9036f7b5899923572884fb8e66360"),
+    "convergents golden --terms 3000 --engine fast":
+        (0, "f60af61614a091bc031b9a3b90f46da0dfac9270d6e9a6fec52df04107d92218"),
+    "convergents lit:0.123456789 --terms 20 --engine matrix":
+        (0, "6de33aaea1fdf5be8ba8bc118515262c073d0ccc8b379bce264251d07e190804"),
 }
 
 

@@ -5,17 +5,20 @@
 - Only ``reals.py`` reads CertifiedReal's integer fields ``lo_num``,
   ``hi_num`` and ``den``, so the representation is decided in one module;
   the others use its methods and its Fraction views.
+- Every absolute import in the package names a standard-library module:
+  the runtime has no dependencies, and mpmath stays a test-only oracle.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 import cfcert
 
-MODULES = sorted(p for p in Path(cfcert.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(cfcert.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 INTEGER_FIELDS = {"lo_num", "hi_num", "den"}
 
 
@@ -45,6 +48,35 @@ def integer_field_reads(source: str) -> list[str]:
               and node.value in INTEGER_FIELDS):
             found.append(f"{node.value!r} (line {node.lineno})")
     return sorted(found)
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Absolute imports whose top-level module is not in the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_runtime_imports_only_the_standard_library(path):
+    assert non_stdlib_imports(path.read_text()) == []
+
+
+def test_detects_a_non_stdlib_import():
+    source = ("import os, mpmath.libmp\n"
+              "from hypothesis import given\n"
+              "from . import reals\n"
+              "from fractions import Fraction\n")
+    assert non_stdlib_imports(source) == ["hypothesis (line 2)",
+                                          "mpmath.libmp (line 1)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
