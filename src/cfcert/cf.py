@@ -7,10 +7,10 @@ quadratic surds (no rounding anywhere on that path).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import islice
 from math import isqrt
-from typing import Iterator
 
 from .errors import PrecisionError
 from .reals import (
@@ -26,22 +26,43 @@ from .reals import (
 )
 
 
-@dataclass(frozen=True)
 class PartialQuotients:
     """A certified prefix [a_0; a_1, a_2, ...] of an expansion.
 
     ``terminated`` marks exact rational inputs whose expansion is complete
-    (canonical form, last quotient >= 2 when longer than one term).
+    (canonical form, last quotient >= 2 when longer than one term).  A
+    sequence of its terms (``len``, indexing, slicing, iteration), so not
+    a tuple of its fields: immutable, equal and hashed by
+    (``terms``, ``terminated``).
     """
 
-    terms: tuple[int, ...]
-    terminated: bool = False
+    __slots__ = ("terms", "terminated")
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms: tuple[int, ...], terminated: bool = False):
+        if not terms:
             raise ValueError("empty expansion")
-        if any(a < 1 for a in self.terms[1:]):
+        if any(a < 1 for a in terms[1:]):
             raise ValueError("partial quotients after a_0 must be >= 1")
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terminated", terminated)
+
+    def __setattr__(self, name, value=None):  # value=None: refuses del too
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return PartialQuotients, (self.terms, self.terminated)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PartialQuotients)
+                and (self.terms, self.terminated) == (other.terms, other.terminated))
+
+    def __hash__(self) -> int:
+        return hash((self.terms, self.terminated))
+
+    def __repr__(self) -> str:
+        return f"PartialQuotients(terms={self.terms!r}, terminated={self.terminated!r})"
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -53,13 +74,10 @@ class PartialQuotients:
         return self.terms[i]
 
 
-@dataclass(frozen=True)
-class SurdExpansion:
-    """Exact surd expansion with its eventual-period descriptor."""
+class SurdExpansion(namedtuple("SurdExpansion", "quotients preperiod period")):
+    """Exact surd expansion with its eventual-period descriptor; a named tuple."""
 
-    quotients: PartialQuotients
-    preperiod: int
-    period: int
+    __slots__ = ()
 
     @property
     def period_terms(self) -> tuple[int, ...]:

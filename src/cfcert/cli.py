@@ -8,7 +8,6 @@ a fixed configuration.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 import time
 
@@ -206,6 +205,8 @@ def _cmd_verify(args, out) -> int:
 
 def _bench_quotients(args) -> list[int]:
     if args.constant == "random":
+        import random  # only this command needs it; the CLI starts without it
+
         rng = random.Random(args.seed if args.seed is not None else 0)
         return [rng.randint(1, 9) for _ in range(args.terms)]
     if args.seed is not None:

@@ -13,11 +13,11 @@ already certify it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import islice
 from math import gcd
-from typing import Iterator, Sequence
 
 
 class WorkCounter:
@@ -38,9 +38,8 @@ class WorkCounter:
         self.multiplications += 1
 
 
-@dataclass(frozen=True)
-class Convergent:
-    """Exact p_n/q_n in lowest terms, 0-based index n.
+class Convergent(namedtuple("Convergent", "n p q")):
+    """Exact p_n/q_n in lowest terms, 0-based index n; a named tuple.
 
     Coprimality is certified by the determinant identity (a determinant
     of +-1 divides gcd(p, q)) rather than a per-instance gcd, which would
@@ -48,13 +47,12 @@ class Convergent:
     it on demand.
     """
 
-    n: int
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q < 1:
+    def __new__(cls, n: int, p: int, q: int):
+        if q < 1:
             raise ValueError("denominator must be positive")
+        return super().__new__(cls, n, p, q)
 
     def is_reduced(self) -> bool:
         return gcd(self.p, self.q) == 1
@@ -64,14 +62,12 @@ class Convergent:
         return Fraction(self.p, self.q)
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """2x2 integer matrix; quotient matrices have determinant -1."""
+class Mat2(namedtuple("Mat2", "m00 m01 m10 m11")):
+    """2x2 integer matrix, a row-major named 4-tuple; quotient matrices
+    have determinant -1.  ``@`` is the matrix product (``*`` and ``+``
+    are the tuple's repetition and concatenation)."""
 
-    m00: int
-    m01: int
-    m10: int
-    m11: int
+    __slots__ = ()
 
     @classmethod
     def identity(cls) -> "Mat2":
@@ -82,8 +78,7 @@ class Mat2:
         return cls(a, 1, 1, 0)
 
     def mul(self, other: "Mat2", counter: WorkCounter | None = None) -> "Mat2":
-        return Mat2(*_mul4((self.m00, self.m01, self.m10, self.m11),
-                           (other.m00, other.m01, other.m10, other.m11), counter))
+        return Mat2(*_mul4(self, other, counter))
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return self.mul(other)

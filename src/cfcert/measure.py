@@ -13,7 +13,7 @@ nothing about the infimum mu(alpha).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
@@ -39,8 +39,11 @@ _PLACES = 6
 _SCALE = 10 ** _PLACES
 # certification threshold: half an ulp of the displayed six decimals
 _MU_WIDTH = Fraction(5, 10 ** (_PLACES + 1))
-# both columns' logs start at the 7 digits that decide six decimals, plus 4 guard
-_DISPLAY_START = PrecisionBudget(_PLACES + 1, guard=4)
+
+
+def _display_budget(cap: int) -> PrecisionBudget:
+    # both columns' logs start at the 7 digits that decide six decimals, plus 4 guard
+    return PrecisionBudget(_PLACES + 1, 4, cap)
 
 
 def _as_decimal(scaled: int) -> Decimal:
@@ -49,20 +52,16 @@ def _as_decimal(scaled: int) -> Decimal:
     return Decimal((sign, digits, -_PLACES))
 
 
-@dataclass(frozen=True)
-class MeasureRow:
+class MeasureRow(namedtuple("MeasureRow", "display_n p q mu lagrange")):
     """One table row: 1-based display index, exact p/q, displayed columns.
 
-    ``mu`` is absent for q = 1 (log q = 0) and for a residual that is
-    exactly zero (rational constant hit exactly); ``lagrange`` is then
-    1.000000 for q = 1 and absent otherwise.
+    ``mu`` is absent (None) for q = 1 (log q = 0) and for a residual that
+    is exactly zero (rational constant hit exactly); ``lagrange`` is then
+    1.000000 for q = 1 and absent otherwise.  A named tuple, copied with
+    ``_replace``.
     """
 
-    display_n: int
-    p: int
-    q: int
-    mu: Decimal | None
-    lagrange: Decimal | None
+    __slots__ = ()
 
 
 def residual(alpha: ConstantSpec, conv: Convergent,
@@ -107,7 +106,7 @@ def _working_residual(alpha: ConstantSpec, conv: Convergent,
 
     eps = escalate(attempt, budget)
     lead = 0 if eps.is_zero() else max(0, -_floor_log10(abs(eps).lo))
-    return eps, replace(budget, digits=budget.digits + lead)
+    return eps, PrecisionBudget(budget.digits + lead, budget.guard, budget.cap)
 
 
 def mu_n(alpha: ConstantSpec, conv: Convergent,
@@ -145,7 +144,7 @@ def mu_n(alpha: ConstantSpec, conv: Convergent,
                 lo = hi
         return _as_decimal(lo)
 
-    return escalate(attempt, replace(_DISPLAY_START, cap=max(budget.working, 7) + 4))
+    return escalate(attempt, _display_budget(max(budget.working, 7) + 4))
 
 
 def lagrange(q: int, mu) -> Decimal:
@@ -167,7 +166,7 @@ def lagrange(q: int, mu) -> Decimal:
             raise PrecisionError("lagrange value sits on a rounding boundary")
         return _as_decimal(lo)
 
-    return escalate(attempt, replace(_DISPLAY_START, cap=10_000))
+    return escalate(attempt, _display_budget(10_000))
 
 
 def measure_table(alpha: ConstantSpec, rows: int,
@@ -177,7 +176,7 @@ def measure_table(alpha: ConstantSpec, rows: int,
     Display index n is the 0-based convergent index plus one.  For exact
     rational constants the table stops at the terminating expansion.
     """
-    return [r if r.mu is None else replace(r, lagrange=lagrange(r.q, r.mu))
+    return [r if r.mu is None else r._replace(lagrange=lagrange(r.q, r.mu))
             for r in _mu_rows(alpha, rows, budget)]
 
 

@@ -10,8 +10,7 @@ explicit sharp constants 2/pi and 1, valid on [-pi/2, pi/2].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from decimal import Decimal
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -31,34 +30,26 @@ from .reals import (
 )
 
 
-@dataclass(frozen=True)
-class ProbeRow:
-    """Residual and sine-probe enclosures for one convergent.
+class ProbeRow(namedtuple("ProbeRow", "display_n epsilon abs_epsilon sin_direct "
+                           "sin_reduced sin_unscaled lower_bound_ok upper_bound_ok "
+                           "envelope_ok", defaults=(None, None, None))):
+    """Residual and sine-probe enclosures (CertifiedReal) for one convergent.
 
     ``sin_direct`` is present only for pi^2 (the direct form needs the
-    pi^3 argument); bound flags stay None until ``probe_table`` fills
-    them from the successor convergent.
+    pi^3 argument), None otherwise; the bool bound flags stay None until
+    ``probe_table`` fills them from the successor convergent.  A named
+    tuple, copied with ``_replace``.
     """
 
-    display_n: int
-    epsilon: CertifiedReal
-    abs_epsilon: CertifiedReal
-    sin_direct: CertifiedReal | None
-    sin_reduced: CertifiedReal
-    sin_unscaled: CertifiedReal
-    lower_bound_ok: bool | None = None
-    upper_bound_ok: bool | None = None
-    envelope_ok: bool | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Certified two-sided residual bound flags, with the empirical mu."""
+class BoundReport(namedtuple("BoundReport",
+                             "display_n lower_bound_ok upper_bound_ok mu")):
+    """Certified two-sided residual bound flags, with the empirical mu
+    (a Decimal, or None where ``mu_n`` has none); a named tuple."""
 
-    display_n: int
-    lower_bound_ok: bool
-    upper_bound_ok: bool
-    mu: Decimal | None
+    __slots__ = ()
 
 
 def sine_probe(alpha: ConstantSpec, conv: Convergent,
@@ -189,7 +180,7 @@ def _probe_rows(alpha: ConstantSpec, convs: list[Convergent],
         lower, upper = _bound_flags(row.abs_epsilon, cur, nxt)
         cells = [_sci6(iv, row.display_n) for iv in
                  (row.epsilon, row.sin_direct, row.sin_reduced, row.sin_unscaled)]
-        return replace(row, lower_bound_ok=lower, upper_bound_ok=upper), cells
+        return row._replace(lower_bound_ok=lower, upper_bound_ok=upper), cells
 
     return [escalate(partial(attempt, cur, nxt), budget)
             for cur, nxt in zip(convs, convs[1:])]

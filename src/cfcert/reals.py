@@ -11,45 +11,43 @@ No hardware float appears on the certified path or is accepted as input.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import partial
 from itertools import count
 from math import gcd, isqrt, log
-from typing import Callable, Iterator, TypeVar
 
 from .errors import PrecisionError
 
 DEFAULT_PRECISION_CAP = 1_000_000
 
 _DECIMAL_RE = re.compile(r"^[+-]?\d+(\.\d+)?$")
-T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
 # precision budget
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrecisionBudget:
+class PrecisionBudget(namedtuple("PrecisionBudget", "digits guard cap")):
     """Requested certified decimal digits plus guard digits for headroom.
 
     ``cap`` bounds the working precision :func:`escalate` may reach;
     exceeding it raises :class:`PrecisionError` rather than exhausting
-    memory.
+    memory.  A named tuple: a changed budget is rebuilt through the
+    constructor, which validates it, never through ``_replace``.
     """
 
-    digits: int
-    guard: int = 10
-    cap: int = DEFAULT_PRECISION_CAP
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.digits < 1:
+    def __new__(cls, digits: int, guard: int = 10, cap: int = DEFAULT_PRECISION_CAP):
+        if digits < 1:
             raise ValueError("digits must be >= 1")
-        if self.guard < 0:
+        if guard < 0:
             raise ValueError("guard must be >= 0")
-        if self.cap < self.digits + self.guard:
+        if cap < digits + guard:
             raise ValueError("cap smaller than digits + guard")
+        return super().__new__(cls, digits, guard, cap)
 
     @property
     def working(self) -> int:
@@ -71,7 +69,7 @@ class PrecisionBudget:
 DEFAULT_BUDGET = PrecisionBudget(60)  # default start of escalation and of --digits
 
 
-def escalate(attempt: Callable[[PrecisionBudget], T], budget: PrecisionBudget) -> T:
+def escalate(attempt: Callable[[PrecisionBudget], object], budget: PrecisionBudget):
     """``attempt(budget)``, rerun at ``budget.escalated()`` after each PrecisionError.
 
     The package's one precision policy.  Once the next doubling would pass
@@ -123,6 +121,7 @@ class CertifiedReal:
         return _iv(lo, hi, 10 ** scale)
 
     def __setattr__(self, name, value=None):  # value=None: refuses del too
+        from dataclasses import FrozenInstanceError  # loaded on this path alone
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     __delattr__ = __setattr__
@@ -267,55 +266,48 @@ def _as_interval(x) -> CertifiedReal:
 # constant specifications
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PiPower:
-    """pi**(t/s) with t/s kept in lowest terms, s >= 1."""
+class PiPower(namedtuple("PiPower", "t s")):
+    """pi**(t/s) with t/s kept in lowest terms, s >= 1; a named tuple."""
 
-    t: int
-    s: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.s < 1:
+    def __new__(cls, t: int, s: int = 1):
+        if s < 1:
             raise ValueError("root index s must be >= 1")
-        g = gcd(abs(self.t), self.s)
-        if g > 1:
-            object.__setattr__(self, "t", self.t // g)
-            object.__setattr__(self, "s", self.s // g)
+        g = gcd(abs(t), s)
+        return super().__new__(cls, t // g, s // g)
 
     def describe(self) -> str:
         return f"pi^{self.t}/{self.s}" if self.s != 1 else f"pi^{self.t}"
 
 
-@dataclass(frozen=True)
-class Surd:
-    """Quadratic irrational (a + b*sqrt(d)) / c with d a non-square."""
+class Surd(namedtuple("Surd", "a b d c")):
+    """Quadratic irrational (a + b*sqrt(d)) / c with d a non-square; a named tuple."""
 
-    a: int
-    b: int
-    d: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.c == 0:
+    def __new__(cls, a: int, b: int, d: int, c: int):
+        if c == 0:
             raise ValueError("surd denominator c must be nonzero")
-        if self.b == 0:
+        if b == 0:
             raise ValueError("surd coefficient b must be nonzero (value is rational)")
-        if self.d < 2 or isqrt(self.d) ** 2 == self.d:
-            raise ValueError(f"surd discriminant {self.d} is a perfect square")
+        if d < 2 or isqrt(d) ** 2 == d:
+            raise ValueError(f"surd discriminant {d} is a perfect square")
+        return super().__new__(cls, a, b, d, c)
 
     def describe(self) -> str:
         return f"({self.a}+{self.b}*sqrt({self.d}))/{self.c}"
 
 
-@dataclass(frozen=True)
-class DecimalLiteral:
-    """Exact finite-decimal constant, e.g. "0.5"."""
+class DecimalLiteral(namedtuple("DecimalLiteral", "text")):
+    """Exact finite-decimal constant, e.g. "0.5"; a named tuple of its text."""
 
-    text: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _DECIMAL_RE.match(self.text):
-            raise ValueError(f"not a finite decimal literal: {self.text!r}")
+    def __new__(cls, text: str):
+        if not _DECIMAL_RE.match(text):
+            raise ValueError(f"not a finite decimal literal: {text!r}")
+        return super().__new__(cls, text)
 
     @property
     def value(self) -> Fraction:
@@ -432,6 +424,8 @@ def _ln2_fx(scale: int) -> tuple[int, int]:
     return 2 * at[0], 2 * at[1]
 
 
+# keyed by value, and specs compare as tuples: PiPower (2 fields) and Surd
+# (4 fields) never equal each other, so no two specs share an entry
 _KEPT: dict[tuple, tuple[int, tuple[int, int]]] = {}
 
 

@@ -7,9 +7,12 @@
   the others use its methods and its Fraction views.
 - Every absolute import in the package names a standard-library module:
   the runtime has no dependencies, and mpmath stays a test-only oracle.
+- ``import cfcert.cli`` loads none of the standard-library modules that
+  no command needs, so every command starts without paying for them.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,6 +66,17 @@ def non_stdlib_imports(source: str) -> list[str]:
         found += [f"{name} (line {node.lineno})" for name in names
                   if name.split(".")[0] not in sys.stdlib_module_names]
     return sorted(found)
+
+
+def test_cli_import_leaves_unneeded_modules_unloaded():
+    # -S: the interpreter's site hooks may load any of these themselves
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import cfcert.cli; "
+            "print(*(m for m in ('dataclasses', 'typing', 'inspect', 'random') "
+            "if m in sys.modules))")
+    parent = str(Path(cfcert.__file__).parent.parent)
+    done = subprocess.run([sys.executable, "-S", "-c", code, parent],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)

@@ -1,7 +1,6 @@
 """Measure tests: mu_n, the q^(mu-2) column, and full table reproduction."""
 
 import io
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -194,7 +193,7 @@ def ladder_residual(alpha, conv, budget):
 
     eps = escalate(attempt, budget)
     lead = 0 if eps.is_zero() else max(0, -_floor_log10(abs(eps).lo))
-    return eps, replace(budget, digits=budget.digits + lead)
+    return eps, PrecisionBudget(budget.digits + lead, budget.guard, budget.cap)
 
 
 class TestWorkingResidual:
