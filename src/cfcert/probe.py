@@ -170,9 +170,8 @@ def probe_table(alpha: ConstantSpec, convs: list[Convergent],
 def _probe_rows(alpha: ConstantSpec, convs: list[Convergent],
                 budget: PrecisionBudget) -> list[tuple[ProbeRow, list[str]]]:
     """``probe_table``'s rows, each with its four ``%.6e`` cells (epsilon and
-    the three sines), rounded once inside the row's ``escalate``."""
-    if len(convs) < 2:
-        raise ValueError("need at least two convergents")
+    the three sines), rounded once inside the row's ``escalate``; no rows
+    for fewer than two convergents."""
 
     def attempt(cur: Convergent, nxt: Convergent,
                 b: PrecisionBudget) -> tuple[ProbeRow, list[str]]:

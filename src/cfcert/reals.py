@@ -599,23 +599,13 @@ def _spec_fx(spec: ConstantSpec, scale: int) -> tuple[int, int]:
 # certified sine with argument reduction
 # ---------------------------------------------------------------------------
 
-def _sin_monotone(iv: CertifiedReal, scale: int) -> CertifiedReal:
-    """Sine over an interval in the increasing branch, |x| <= 8/5 (past pi/2).
-
-    Endpoints may poke past +-pi/2 by a few ulps; the sine deficit there
-    is quadratic in the overshoot and stays far below the series slack,
-    so the endpoint rule remains an enclosure.
-    """
-    if 5 * max(-iv.lo_num, iv.hi_num) > 8 * iv.den:
-        raise PrecisionError("sine argument outside reduced range")
-    return _increasing_fx(_sin_point_fx, iv, scale)
-
-
 def sin_certified(x: CertifiedReal, budget: PrecisionBudget) -> CertifiedReal:
     """Enclosure of sin over x, reduced modulo 2*pi at full precision.
 
-    The pi enclosure used for reduction carries enough digits that the
-    reduction error is absorbed into the output interval.
+    Midpoint-radius form: one kernel run at the midpoint c of the reduced
+    interval, widened by the mean value theorem,
+    |sin(c + h) - sin c| <= |h| (|cos c| + |h|), with |h| at most the
+    reduced interval's half-width (that of x plus the reduction error).
     """
     if x.is_zero():
         return CertifiedReal.point(0)
@@ -632,31 +622,26 @@ def sin_certified(x: CertifiedReal, budget: PrecisionBudget) -> CertifiedReal:
         raise PrecisionError("input interval too wide to certify sine")
 
     pi = pi_interval(scale)
-    # the midpoint of x over that of 2 pi, rounded half to even
-    k = round(Fraction((x.lo_num + x.hi_num) * pi.den,
-                       2 * x.den * (pi.lo_num + pi.hi_num)))
-    r = x - pi * (2 * k) if k else x
+    x_lo, x_hi, pi_lo, pi_hi, den = _aligned(x, pi)
+    # r = x - 2k pi as twice its midpoint and its width, over den; tau is
+    # twice pi's midpoint
+    mid, width, tau = x_lo + x_hi, x_hi - x_lo, pi_lo + pi_hi
+    # k nearest to x's midpoint over 2 pi's puts r's midpoint in [-pi, pi]
+    k = (mid + tau) // (2 * tau)
+    mid, width = mid - 2 * k * tau, width + 2 * abs(k) * (pi_hi - pi_lo)
+    if 2 * abs(mid) > tau:
+        # sin r = sin(pi - r) = sin(-pi - r) puts it in [-pi/2, pi/2]
+        mid, width = (tau if mid > 0 else -tau) - mid, width + pi_hi - pi_lo
 
-    # sin(-r) = -sin(r) puts the midpoint of r in [0, pi]; r is at most 2
-    # wide, so then r.lo > -pi/2
-    flip = r.lo_num + r.hi_num < 0
-    r = -r if flip else r
-    r_lo, r_hi, pi_lo, pi_hi, den = _aligned(r, pi)
-
-    def lower(e: int) -> int:
-        # past pi/2, sin(e) = sin(pi - e) >= sin(pi.lo - e) on the increasing branch
-        v = pi_lo - e if 2 * e > pi_lo else e
-        return _sin_monotone(_iv(v, v, den), scale).lo_num
-
-    if 2 * r_hi <= pi_lo:
-        out = _sin_monotone(r, scale)
-    elif 2 * r_lo >= pi_hi:
-        out = _sin_monotone(pi - r, scale)
-    else:
-        # straddles the maximum: exact 1 above, the least endpoint sine
-        # below, one kernel run per endpoint
-        out = CertifiedReal.from_fixed(min(lower(r_lo), lower(r_hi)), 10 ** scale, scale)
-    return -out if flip else out
+    d = 10 ** scale
+    lo, hi = _sin_point_fx((mid, 2 * den), scale)
+    # |cos c| <= sqrt(1 - sin^2 c) <= cos_ulps / d from the kernel's own
+    # bounds, and |h| <= h_ulps / d, both rounded up
+    least = 0 if lo < 0 < hi else min(abs(lo), abs(hi))
+    cos_ulps = isqrt(d * d - least * least) + 1
+    h_ulps = -(-width * d // (2 * den))
+    slack = -(-h_ulps * (cos_ulps + h_ulps) // d)
+    return _iv(max(lo - slack, -d), min(hi + slack, d), d)
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,15 @@ class TestProbeCommand:
         for line in lines[2:]:
             assert line.endswith("True,True,True")
 
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("constant, rows", [("lit:3", "5"), ("pi^0", "3"),
+                                                ("pi2", "1")])
+    def test_fewer_than_two_convergents_print_the_header(self, constant, rows, fmt):
+        # rows 1..N-1 of N convergents: none for N = 1
+        header = run_cli("probe", "pi2", "--rows", "2", "--format", fmt)[1].splitlines()[0]
+        code, out = run_cli("probe", constant, "--rows", rows, "--format", fmt)
+        assert (code, out) == (0, header + "\n")
+
     def test_rows_beyond_digits_match_oracle(self):
         # from row ~10 on |eps| is below 10^-digits
         code, out = run_cli("probe", "pi2", "--rows", "50", "--digits", "5",
@@ -266,7 +275,7 @@ def test_bound_flags_escalate_until_decided(command):
     assert low == high and low[0] == 0
 
 
-@pytest.mark.parametrize("constant", ["pi2", "sqrt:199",
+@pytest.mark.parametrize("constant", ["pi", "pi2", "pi3", "sqrt:199",
                                       "sqrt:1000000000000000000000000000001"])
 @pytest.mark.parametrize("command", ["measure", "probe", "verify"])
 def test_stdout_independent_of_digits(command, constant):
@@ -334,6 +343,21 @@ class TestBenchCommand:
         assert "agreement=ok" in out
         assert "MISMATCH" not in out
 
+    def test_mismatch_exits_one(self, monkeypatch):
+        original = cli.final_convergent
+
+        def skewed(terms, n, engine, counter):
+            last = original(terms, n, engine, counter)
+            # one engine disagrees on the 1000-term prefix
+            return last._replace(q=last.q + 1) if engine == "fast" and n == 999 else last
+
+        monkeypatch.setattr(cli, "final_convergent", skewed)
+        code, out = run_cli("bench", "random", "--terms", "2000", "--seed", "1")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-1] == "bench terms=1000 agreement=MISMATCH"
+        assert not any("terms=2000" in line for line in lines)
+
     def test_rejects_interval_constants(self):
         code, _ = run_cli("bench", "pi2", "--terms", "100")
         assert code == 2
@@ -343,6 +367,11 @@ class TestExitCodes:
     def test_unknown_constant(self):
         code, _ = run_cli("expand", "nonsense", "--terms", "5")
         assert code == 2
+
+    def test_surd_needs_four_integers(self, capsys):
+        code, _ = run_cli("expand", "surd:1,2,3", "--terms", "5")
+        assert code == 2
+        assert "surd takes four integers" in capsys.readouterr().err
 
     def test_bad_flag(self):
         code, _ = run_cli("expand", "pi2", "--engine", "warp")

@@ -59,6 +59,18 @@ class TestMuN:
     def test_exact_zero_error(self):
         assert mu_n(DecimalLiteral("0.5"), Convergent(1, 1, 2), PrecisionBudget(20)) is None
 
+    def test_exact_mu_just_above_display_point(self):
+        # alpha = 2^-20 + (1 - 10^-13) 2^-60 puts |alpha - 1/2^20| a relative
+        # 10^-13 below q^-3, so mu - 3 is about 7.2e-15: every log enclosure
+        # holds 3, and only the integer test decides that mu lies above it
+        text = "0.0000009536743164071173617379883168110321634003412327729165554046630859375"
+        assert Fraction(text) == Fraction(1, 2 ** 20) + (1 - Fraction(1, 10 ** 13)) / 2 ** 60
+        with mp.workdps(40):
+            mu = -mp.log((1 - mp.mpf(10) ** -13) / mp.mpf(2) ** 60) / mp.log(2 ** 20)
+            assert 7.1e-15 < mu - 3 < 7.3e-15
+        assert mu_n(DecimalLiteral(text), Convergent(0, 1, 2 ** 20),
+                    PrecisionBudget(60)) == Decimal("3.000001")
+
 
 class TestMuFromResidual:
     def test_budget_below_mu_digits(self):

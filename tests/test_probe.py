@@ -215,6 +215,12 @@ class TestProbeTableFlags:
         assert ([(r.lower_bound_ok, r.upper_bound_ok) for r in rows]
                 == [(r.lower_bound_ok, r.upper_bound_ok) for r in reports])
 
+    @pytest.mark.parametrize("alpha", [PI2, DecimalLiteral("3")], ids=["pi2", "lit:3"])
+    def test_no_rows_without_a_successor(self, alpha):
+        convs = convergents_iter(expand(alpha, 1, PrecisionBudget(60)), 0)
+        assert len(convs) == 1
+        assert probe_table(alpha, convs) == []
+
 
 class TestBeyondIntStrLimit:
     def test_envelope_of_huge_width_denominator(self):

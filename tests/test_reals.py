@@ -175,7 +175,63 @@ class TestBudget:
             b.escalated()
 
 
+_ORACLE_DPS = 300  # mpmath digits for sine-interval centres and oracles
+
+
+def exact(x: mp.mpf) -> Fraction:
+    man, exp = x.man_exp
+    return Fraction(man if x >= 0 else -man) * Fraction(2) ** exp
+
+
+def as_mpf(x: Fraction) -> mp.mpf:
+    return mp.mpf(x.numerator) / x.denominator
+
+
+@st.composite
+def sine_intervals(draw):
+    """(x, budget): an interval near an extremum +-pi/2 + 2 pi j, near a zero
+    j pi, of magnitude up to 10^15, or elsewhere; 0 or 10^-(digits+1) down
+    to 10^-(digits+25) wide."""
+    digits = draw(st.integers(5, 80))
+    kind = draw(st.sampled_from(["extremum", "zero", "large", "generic"]))
+    j = draw(st.integers(-10 ** 14, 10 ** 14))
+    with mp.workdps(_ORACLE_DPS):
+        if kind == "extremum":
+            centre = exact(draw(st.sampled_from([1, -1])) * mp.pi / 2 + 2 * mp.pi * j)
+        elif kind == "zero":
+            centre = exact(mp.pi * j)
+        elif kind == "large":
+            centre = Fraction(draw(st.integers(-10 ** 15, 10 ** 15)),
+                              draw(st.integers(1, 10 ** 6)))
+        else:
+            centre = draw(st.fractions(-10, 10, max_denominator=10 ** 6))
+    if kind in ("extremum", "zero"):
+        centre += Fraction(draw(st.integers(-1000, 1000)),
+                           10 ** draw(st.integers(0, digits + 30)))
+    width = draw(st.sampled_from(
+        [Fraction(0)] + [Fraction(1, 10 ** (digits + e)) for e in range(1, 26)]))
+    return CertifiedReal(centre - width / 2, centre + width / 2), PrecisionBudget(digits)
+
+
 class TestSine:
+    @settings(max_examples=150, deadline=None)
+    @given(sine_intervals())
+    def test_interval_sine_matches_oracle(self, case):
+        x, budget = case
+        out = sin_certified(x, budget)
+        with mp.workdps(_ORACLE_DPS + 20):
+            tol = Fraction(1, 10 ** _ORACLE_DPS)  # far below any output ulp
+            for e in (x.lo, x.midpoint, x.hi):
+                ref = exact(mp.sin(as_mpf(e)))
+                assert out.lo - tol <= ref <= out.hi + tol
+            # the maximum pi/2 + 2 pi j and minimum -pi/2 + 2 pi j nearest to x
+            for side in (1, -1):
+                j = mp.nint((as_mpf(x.midpoint) - side * mp.pi / 2) / (2 * mp.pi))
+                if x.lo <= exact(side * mp.pi / 2 + 2 * mp.pi * j) <= x.hi:
+                    assert out.contains(side)
+        w = x.width
+        assert out.width <= w + w * w + Fraction(1, 10 ** budget.working)
+
     def test_zero(self):
         z = CertifiedReal.point(0)
         assert sin_certified(z, PrecisionBudget(10)).is_zero()
@@ -209,25 +265,11 @@ class TestSine:
             assert agrees(out, mp.sin(mp.pi ** 3 * 1089), 60)
 
     @pytest.mark.parametrize("side", [1, -1])
-    def test_extremum_runs_kernel_once_per_endpoint(self, monkeypatch, side):
+    def test_extremum_runs_kernel_once(self, monkeypatch, side):
         budget = PrecisionBudget(30)
-        scale = budget.working + 1 + 8  # sin_certified's scale for |x| < 10
-        pi = pi_interval(scale)
         half_pi = pi_interval(60).lo / 2
         x = CertifiedReal(half_pi - Fraction(1, 10 ** 40),
                           half_pi + Fraction(1, 10 ** 40)) * side
-
-        def endpoint_sine(e):
-            # the rule this replaced: a sine over pi -+ e, two kernel runs
-            if e > pi.lo / 2:
-                return reals._sin_monotone(pi - CertifiedReal.point(e), scale)
-            if e < -pi.lo / 2:
-                return -reals._sin_monotone(pi + CertifiedReal.point(e), scale)
-            return reals._sin_monotone(CertifiedReal.point(e), scale)
-
-        a, b = endpoint_sine(x.lo), endpoint_sine(x.hi)
-        expected = (CertifiedReal(min(a.lo, b.lo), Fraction(1)) if side > 0
-                    else CertifiedReal(Fraction(-1), max(a.hi, b.hi)))
 
         calls = []
         original = reals._sin_point_fx
@@ -237,8 +279,12 @@ class TestSine:
             return original(v, s)
 
         monkeypatch.setattr(reals, "_sin_point_fx", counted)
-        assert sin_certified(x, budget) == expected
-        assert len(calls) == 2
+        out = sin_certified(x, budget)
+        assert len(calls) == 1
+        assert out.contains(side) and -1 <= out.lo <= out.hi <= 1
+        with mp.workdps(_ORACLE_DPS):
+            assert all(out.contains(exact(mp.sin(as_mpf(e)))) for e in (x.lo, x.hi))
+        assert out.width <= Fraction(1, 10 ** budget.working)
 
     def test_wide_input_rejected(self):
         x = CertifiedReal(Fraction(0), Fraction(1, 2))
