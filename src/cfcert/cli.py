@@ -8,8 +8,10 @@ a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from functools import partial
 
 from .cf import expand, surd_expand
 from .convergents import (
@@ -244,16 +246,38 @@ def _cmd_bench(args, out) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def _help_width() -> int:
+    """``shutil.get_terminal_size().columns - 2``, the width argparse's
+    formatters wrap help at: COLUMNS if it is a positive integer, else the
+    width of the terminal on ``sys.__stdout__``, else 80.
+
+    Worked out here because ``shutil`` loads zlib, bz2, lzma and fnmatch,
+    and argparse builds a formatter for every argument it adds.
+    """
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+        except (AttributeError, ValueError, OSError):
+            columns = 80
+    return columns - 2
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    formatter = partial(argparse.HelpFormatter, width=_help_width())
     parser = argparse.ArgumentParser(
         prog="cfcert",
         description="Certified continued fractions, convergents, and "
                     "irrationality-measure tables.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, help, *flags, formats=("text", "csv")):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, formatter_class=formatter)
         p.add_argument("constant", help="pi, pi2, pi3, pi^t/s, sqrt:d, "
                                         "surd:a,b,d,c, lit:x, golden")
         p.add_argument("--terms", "--rows", "-n", dest="terms", type=int,

@@ -368,14 +368,29 @@ def _hull(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
 
 
 def _iroot(n: int, k: int) -> int:
-    """Floor of the integer k-th root of n >= 0 (Newton iteration)."""
+    """Floor of the integer k-th root of n >= 0 (Newton iteration).
+
+    Newton starts above the root, from the root r' of n's top bits: with s
+    about half the root's bit length, n < ((n >> ks) + 1) 2^ks <=
+    ((r' + 1) 2^s)^k, so x = (r' + 1) 2^s exceeds the root and already
+    holds its top half.  From above, each step decreases strictly until it
+    reaches the floor, here after about two full-size steps; from a power
+    of two it takes about log2 of the root's bit length, 17 or 18 on a
+    95,000-bit n (Brent & Zimmermann, *Modern Computer Arithmetic*,
+    1.5.2).  A root below 2^(k+2) starts at the power of two above it.
+    """
     if n < 0:
         raise ValueError("iroot of negative value")
     if n == 0 or k == 1:
         return n if k == 1 else 0
     if k == 2:
         return isqrt(n)
-    x = 1 << (-(-n.bit_length() // k) + 1)
+    # k/2 bits short of half: the first step's error, about (k - 1) 2^(2s) / x, is < 1
+    s = (n.bit_length() // k - k) // 2
+    if s > 0:
+        x = (_iroot(n >> k * s, k) + 1) << s
+    else:
+        x = 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -537,7 +552,8 @@ def _root_point_fx(x: tuple[int, int], scale: int, k: int) -> tuple[int, int]:
         raise ValueError("root of non-positive value")
     n = x[0] * 10 ** (k * scale) // x[1]
     r = _iroot(n, k)
-    return r, r + 2  # +2 absorbs the floor in n on top of the root rounding
+    # r^k <= n <= x 10^(ks) < n + 1 <= (r + 1)^k: the root lies in [r, r + 1)
+    return r, r + 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """CLI tests: formats, golden outputs, exit codes, determinism."""
 
+import hashlib
 import inspect
 import io
 import math
+import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -429,6 +432,46 @@ class TestExitCodes:
     def test_plot_only_for_measure(self):
         code, _ = run_cli("expand", "pi2", "--format", "plot")
         assert code == 2
+
+
+# sha256 of the text argparse prints at COLUMNS=80 on Python 3.11 when it
+# asks shutil for the width itself; its layout changes across Python
+# versions, so the pins hold on 3.11 alone
+HELP_SHA256_PY311 = {
+    "--help": (0, "out",
+               "9bd0f23b220f74cbf73ff8002450ec8d4f07d412002f82d8bdc4849188a67ed5"),
+    "probe --help": (0, "out",
+                     "098d91379d613ac6053b0c56361f5c79459e5fa5cf2b9e07f4440fb4bc6c0606"),
+    "expand": (2, "err",
+               "5a3113bb0101fd197cbaa3acfd6af5e0c9344f01f0ee19328f4ef790f9bf5ca6"),
+}
+
+
+class TestHelpText:
+    @pytest.mark.parametrize("terminal", [None, (0, 0), (132, 40)],
+                             ids=["as run", "0 columns", "132 columns"])
+    @pytest.mark.parametrize("columns", [None, "", "abc", "0", "-4", "40", "200"])
+    def test_width_as_shutil_gives_it(self, monkeypatch, columns, terminal):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        if terminal is not None:
+            # shutil and the CLI both ask os for the terminal's size
+            monkeypatch.setattr(os, "get_terminal_size",
+                                lambda fd: os.terminal_size(terminal))
+        formatter = cli._build_parser()._get_formatter()
+        assert formatter._width == shutil.get_terminal_size().columns - 2
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="argparse's layout is pinned on Python 3.11")
+    @pytest.mark.parametrize("command", HELP_SHA256_PY311)
+    def test_bytes_unchanged(self, monkeypatch, capsys, command):
+        code, stream, digest = HELP_SHA256_PY311[command]
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli.run(command.split()) == code
+        text = getattr(capsys.readouterr(), stream)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestDefaultBudget:

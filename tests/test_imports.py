@@ -8,7 +8,8 @@
 - Every absolute import in the package names a standard-library module:
   the runtime has no dependencies, and mpmath stays a test-only oracle.
 - ``import cfcert.cli`` loads none of the standard-library modules that
-  no command needs, so every command starts without paying for them.
+  no command needs, so every command starts without paying for them, and
+  a command that prints no help loads no ``shutil``.
 """
 
 import ast
@@ -68,15 +69,30 @@ def non_stdlib_imports(source: str) -> list[str]:
     return sorted(found)
 
 
-def test_cli_import_leaves_unneeded_modules_unloaded():
+def loaded_after(statement: str, names: tuple[str, ...]) -> list[str]:
+    """Those of ``names`` that a fresh interpreter has loaded after it ran
+    ``statement`` with cfcert importable."""
     # -S: the interpreter's site hooks may load any of these themselves
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import cfcert.cli; "
-            "print(*(m for m in ('dataclasses', 'typing', 'inspect', 'random') "
-            "if m in sys.modules))")
+    code = (f"import sys; sys.path.insert(0, sys.argv[1]); {statement}; "
+            f"print(*(m for m in {names!r} if m in sys.modules))")
     parent = str(Path(cfcert.__file__).parent.parent)
     done = subprocess.run([sys.executable, "-S", "-c", code, parent],
                           capture_output=True, text=True, check=True)
-    assert done.stdout.split() == []
+    return done.stdout.split()
+
+
+def test_cli_import_leaves_unneeded_modules_unloaded():
+    assert loaded_after("import cfcert.cli",
+                        ("dataclasses", "typing", "inspect", "random")) == []
+
+
+def test_command_without_help_leaves_shutil_unloaded():
+    # argparse's formatters import shutil, and with it the compression
+    # modules, for a terminal width that only printed help needs
+    statement = ("import io; from cfcert import cli; "
+                 "argv = ['expand', 'pi2', '--terms', '3']; "
+                 "assert cli.run(argv, out=io.StringIO()) == 0")
+    assert loaded_after(statement, ("shutil", "zlib", "bz2", "lzma", "fnmatch")) == []
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)

@@ -446,6 +446,60 @@ class TestBeyondIntStrLimit:
             assert _floor_log10(Fraction(10) ** k) == k
 
 
+# -- the power-of-two Newton start that the top-bits start replaced --------
+
+def ref_iroot(n, k):
+    if n == 0:
+        return 0
+    x = 1 << (-(-n.bit_length() // k) + 1)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+@st.composite
+def wide_integers(draw, max_bits=20_000):
+    """Positive integers whose bit length is drawn first, up to max_bits."""
+    bits = draw(st.integers(1, max_bits))
+    return draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+
+
+class TestIntegerRoots:
+    @settings(max_examples=60, deadline=None)
+    @given(wide_integers(), st.integers(3, 9))
+    @example(0, 3)
+    @example((1 << 20_000) - 1, 3)
+    @example(1 << 19_999, 9)
+    def test_floor_root(self, n, k):
+        r = reals._iroot(n, k)
+        assert r ** k <= n < (r + 1) ** k
+        assert r == ref_iroot(n, k)
+
+    @pytest.mark.parametrize("k", range(3, 10))
+    def test_at_and_beside_exact_powers(self, k):
+        bases = [*range(1, 300), 2 ** 61 - 1, 10 ** 40, 3 ** 200 + 7, 2 ** 2000 + 1]
+        for m in bases:
+            for n in (m ** k - 1, m ** k, m ** k + 1):
+                assert reals._iroot(n, k) == ref_iroot(n, k)
+        for e in [*range(1, 200), 1000, 4999, 20_000]:
+            for n in (2 ** e - 1, 2 ** e + 1):
+                assert reals._iroot(n, k) == ref_iroot(n, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.fractions(Fraction(1, 10 ** 30), 10 ** 30, max_denominator=10 ** 30),
+           st.integers(1, 9), st.integers(0, 200))
+    @example(Fraction(10 ** 6 - 1, 10 ** 6), 3, 2)
+    @example(Fraction(8), 3, 0)
+    def test_root_point_is_the_one_ulp_cell(self, x, k, scale):
+        # r^k den <= num 10^(ks) < (r + 1)^k den: x^(1/k) 10^s lies in [r, r + 1)
+        num, den = x.as_integer_ratio()
+        r, r1 = reals._root_point_fx((num, den), scale, k)
+        assert r1 == r + 1
+        assert r ** k * den <= num * 10 ** (k * scale) < (r + 1) ** k * den
+
+
 # -- the Fraction-endpoint formulas that the integer form replaced ---------
 
 def ref_mul(a, b):
@@ -586,13 +640,14 @@ class TestIntegerForm:
         assert CertifiedReal(value, 1).contains(Fraction(1, 10))
         assert CertifiedReal.point(3).contains(3)
 
-    @pytest.mark.parametrize("spec", [PiPower(7, 4), Surd(1, 2, 69, 5)],
-                             ids=["pi^7/4", "surd"])
+    @pytest.mark.parametrize("spec", [PiPower(7, 4), PiPower(4, 3), PiPower(-5, 3),
+                                      Surd(1, 2, 69, 5)],
+                             ids=["pi^7/4", "pi^4/3", "pi^-5/3", "surd"])
     def test_constants_read_no_fraction_view(self, monkeypatch, spec):
         # a lowest-terms view of pi^7's endpoints costs a gcd of 7000-digit
         # numerators: the kernels must read the integer fields only
         budget = PrecisionBudget(1000)
-        scale = budget.working + 8 + (spec.t if isinstance(spec, PiPower) else 0)
+        scale = budget.working + 8 + (abs(spec.t) if isinstance(spec, PiPower) else 0)
         with mp.workdps(scale + 50):
             value = (mp.pi ** (mp.mpf(spec.t) / spec.s) if isinstance(spec, PiPower)
                      else (spec.a + spec.b * mp.sqrt(spec.d)) / spec.c)
