@@ -12,11 +12,11 @@ nothing about the infimum mu(alpha).
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 from .cf import expand
 from .convergents import Convergent, convergents_iter
@@ -27,7 +27,6 @@ from .reals import (
     ConstantSpec,
     PrecisionBudget,
     _cell_scale,
-    _floor_log10,
     escalate,
     eval_constant,
     exact_value,
@@ -37,8 +36,8 @@ from .reals import (
 
 _PLACES = 6
 _SCALE = 10 ** _PLACES
-# certification threshold: half an ulp of the displayed six decimals
-_MU_WIDTH = Fraction(5, 10 ** (_PLACES + 1))
+# certification threshold: half an ulp of the displayed six decimals, as a/b
+_MU_WIDTH = (5, 10 ** (_PLACES + 1))
 
 
 def _display_budget(cap: int) -> PrecisionBudget:
@@ -99,13 +98,13 @@ def _working_residual(alpha: ConstantSpec, conv: Convergent,
                                  f"{budget.working} significant digits")
         eps = residual(alpha, conv, b)
         # width <= |eps| 10^-(working+1): below 10^-working of its leading digit
-        if eps.width * 10 ** (budget.working + 1) > abs(eps).lo:
+        if not eps.relative_width_at_most(budget.working + 1):
             raise PrecisionError(f"residual for {conv.p}/{conv.q} holds fewer "
                                  f"than {budget.working} significant digits")
         return eps
 
     eps = escalate(attempt, budget)
-    lead = 0 if eps.is_zero() else max(0, -_floor_log10(abs(eps).lo))
+    lead = 0 if eps.is_zero() else max(0, -abs(eps).floor_log10()[0])
     return eps, PrecisionBudget(budget.digits + lead, budget.guard, budget.cap)
 
 
@@ -128,15 +127,16 @@ def mu_n(alpha: ConstantSpec, conv: Convergent,
     def attempt(b: PrecisionBudget) -> Decimal:
         lnq = ln_certified(CertifiedReal.point(conv.q), b.working)
         mu = 1 - ln_certified(abs(eps), b.working) / lnq
-        if mu.width >= _MU_WIDTH:
+        if mu.compare_width(*_MU_WIDTH) >= 0:
             raise PrecisionError("mu enclosure wider than half a display ulp")
-        lo, hi = math.ceil(mu.lo * _SCALE), math.ceil(mu.hi * _SCALE)
+        lo, hi = mu.scaled(_PLACES, "ceil")
         if lo != hi:
             # an exact eps can put mu on the display point u/v itself, which
             # no precision separates; |eps|/q = q^(-u/v) with gcd(u, v) = 1
             # needs q = r^v, so v <= log2 q (and u >= 1, as |eps|/q < 1)
-            u, v = Fraction(lo, _SCALE).as_integer_ratio()
-            if eps.width or u < 1 or v >= conv.q.bit_length():
+            g = gcd(lo, _SCALE)
+            u, v = lo // g, _SCALE // g
+            if eps.compare_width(0) or u < 1 or v >= conv.q.bit_length():
                 raise PrecisionError("mu enclosure straddles a display boundary")
             # mu <= u/v  iff  |eps|^v * q^(u-v) >= 1, with |eps| = a/c
             a, c = abs(eps).lo.as_integer_ratio()
@@ -156,12 +156,17 @@ def lagrange(q: int, mu) -> Decimal:
         raise ValueError("q must be >= 1")
     if q == 1:
         return _as_decimal(_SCALE)
-    exponent = Fraction(str(mu)) - 2
+    # mu exactly as num/den: a finite Decimal, such as mu_n's six-decimal
+    # column, gives its own ratio, and any other value is read from its text
+    if isinstance(mu, Decimal) and mu.is_finite():
+        num, den = mu.as_integer_ratio()
+    else:
+        num, den = Fraction(str(mu)).as_integer_ratio()
 
     def attempt(b: PrecisionBudget) -> Decimal:
         lnq = ln_certified(CertifiedReal.point(q), b.working)
-        value = exp_certified(lnq * exponent, b.working)
-        lo, hi = round(value.lo * _SCALE), round(value.hi * _SCALE)
+        value = exp_certified(lnq * (num - 2 * den) / den, b.working)
+        lo, hi = value.scaled(_PLACES, "half_even")
         if lo != hi:
             raise PrecisionError("lagrange value sits on a rounding boundary")
         return _as_decimal(lo)

@@ -11,7 +11,6 @@ explicit sharp constants 2/pi and 1, valid on [-pi/2, pi/2].
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import partial
 
 from .convergents import Convergent
@@ -71,7 +70,8 @@ def sine_probe(alpha: ConstantSpec, conv: Convergent,
         sin_direct = abs(sin_certified(pi * pi * pi * conv.q, sine_budget))
 
     envelope = None
-    if abs_eps.hi <= pi.lo / 2:
+    # |eps| <= pi/2: 2|eps| - pi has no positive point
+    if (abs_eps * 2 - pi).compare(0)[1] <= 0:
         envelope = _envelope_holds(abs_eps, sin_unscaled, pi)
     return ProbeRow(conv.n + 1, eps, abs_eps, sin_direct, sin_reduced,
                     sin_unscaled, envelope_ok=envelope)
@@ -102,13 +102,15 @@ def envelope_check(z: CertifiedReal, budget: PrecisionBudget | None = None) -> b
         return True
     if budget is None:
         # the input's own resolution: sine accepts no budget finer than it
+        width = z.width
         budget = PrecisionBudget(
-            max(30, -_floor_log10(z.width) - 2) if z.width else 30)
+            max(30, -_floor_log10(*width.as_integer_ratio()) - 2) if width else 30)
     scale = budget.working + 8
     pi = pi_interval(scale)
     abs_z = abs(z)
-    slack = abs_z.width + Fraction(4, 10 ** scale)
-    if abs_z.hi > pi.hi / 2 + slack:
+    # |z|'s upper end past pi/2 by more than |z|'s width and 4 ulps of pi's
+    # scale: 2 lo(|z|) - hi(pi) > 8 10^-scale
+    if (abs_z * 2 - pi).compare(8, 10 ** scale)[0] > 0:
         raise PrecisionError("envelope constants are only valid up to pi/2")
     return _envelope_holds(abs_z, abs(sin_certified(z, budget)), pi)
 
@@ -153,11 +155,12 @@ def _bound_flags(abs_eps: CertifiedReal, cur: Convergent,
     True where the bound is certified, False where it is certainly
     violated; PrecisionError naming the row where the enclosure holds a bound.
     """
-    lower, upper = Fraction(1, cur.q + nxt.q), Fraction(1, nxt.q)
-    lo, hi = abs_eps.lo, abs_eps.hi
-    if lo <= lower < hi or lo < upper <= hi:
+    # signs of |eps|'s endpoints minus each bound
+    lower_lo, lower_hi = abs_eps.compare(1, cur.q + nxt.q)
+    upper_lo, upper_hi = abs_eps.compare(1, nxt.q)
+    if lower_lo <= 0 < lower_hi or upper_lo < 0 <= upper_hi:
         raise PrecisionError(f"row {cur.n + 1}: residual bounds undecided")
-    return lo > lower, hi < upper
+    return lower_lo > 0, upper_hi < 0
 
 
 def probe_table(alpha: ConstantSpec, convs: list[Convergent],
@@ -191,15 +194,14 @@ def _sci6(iv: CertifiedReal | None, row: int) -> str:
     if iv is None:
         return ""
     texts = []
-    for x in (iv.lo, iv.hi):
-        e = _floor_log10(abs(x)) if x else 0
-        n, d = abs(x.numerator), x.denominator * 10 ** max(0, e - 6)
-        digits, r = divmod(n * 10 ** max(0, 6 - e), d)  # in [10^6, 10^7)
-        digits += 2 * r > d or (2 * r == d and digits % 2)  # half to even
+    for end, e in enumerate(iv.floor_log10()):
+        e = 0 if e is None else e
+        # half to even is symmetric in sign, so |digits| is |x|'s, in [10^6, 10^7]
+        digits = iv.scaled(6 - e, "half_even")[end]
+        sign, digits = "-" if digits < 0 else "", abs(digits)
         if digits == 10 ** 7:
             digits, e = 10 ** 6, e + 1
-        texts.append(f"{'-' if x < 0 else ''}{digits // 10 ** 6}."
-                     f"{digits % 10 ** 6:06d}e{e:+03d}")
+        texts.append(f"{sign}{digits // 10 ** 6}.{digits % 10 ** 6:06d}e{e:+03d}")
     if texts[0] != texts[1]:
         raise PrecisionError(f"probe row {row}: enclosure rounds to both "
                              f"{texts[0]} and {texts[1]}")

@@ -98,8 +98,9 @@ class CertifiedReal:
 
     Integer numerators ``lo_num <= hi_num`` over one unnormalised ``den > 0``
     (10^scale for kernel results and after :meth:`outward`, q for a point
-    p/q) carry all arithmetic and comparisons; ``lo``, ``hi``, ``width`` and
-    ``midpoint`` are lowest-terms Fraction views.  Immutable; equal by value.
+    p/q) carry all arithmetic, comparisons and the integer queries that
+    table rows use; ``lo``, ``hi``, ``width`` and ``midpoint`` are
+    lowest-terms Fraction views.  Immutable; equal by value.
     """
 
     __slots__ = ("lo_num", "hi_num", "den")
@@ -113,6 +114,8 @@ class CertifiedReal:
         if isinstance(value, float):  # its binary value is rarely the number meant
             raise TypeError(f"inexact float {value!r}; pass an int, Fraction, "
                             "Decimal or decimal string")
+        if type(value) is int:
+            return _iv(value, value, 1)
         v = Fraction(value)
         return _iv(v.numerator, v.numerator, v.denominator)
 
@@ -183,6 +186,41 @@ class CertifiedReal:
     def certainly_greater_than(self, value) -> bool:
         return (self - CertifiedReal.point(value)).certainly_positive()
 
+    # -- integer queries on the endpoints ---------------------------------
+    # Table rows decide every flag and printed cell with these: each
+    # cross-multiplies the numerators, and none builds a Fraction.
+
+    def compare(self, a: int, b: int = 1) -> tuple[int, int]:
+        """Signs (-1, 0 or 1) of lo - a/b and of hi - a/b, for integers a and b > 0."""
+        t = a * self.den
+        return _sign(self.lo_num * b - t), _sign(self.hi_num * b - t)
+
+    def compare_width(self, a: int, b: int = 1) -> int:
+        """Sign of width - a/b, for integers a and b > 0."""
+        return _sign((self.hi_num - self.lo_num) * b - a * self.den)
+
+    def relative_width_at_most(self, n: int) -> bool:
+        """Whether width <= 10^-n min |x| over the interval, n >= 0."""
+        least = self.lo_num if self.lo_num >= 0 else max(-self.hi_num, 0)
+        return (self.hi_num - self.lo_num) * 10 ** n <= least
+
+    def scaled(self, k: int, rounding: str) -> tuple[int, int]:
+        """lo 10^k and hi 10^k, each rounded to an integer by ``rounding``:
+        "floor", "ceil" or "half_even"."""
+        lo, hi, den = self.lo_num, self.hi_num, self.den
+        if k >= 0:
+            lo, hi = lo * 10 ** k, hi * 10 ** k
+        else:
+            den *= 10 ** -k
+        rounded = _ROUNDINGS[rounding]
+        return rounded(lo, den), rounded(hi, den)
+
+    def floor_log10(self) -> tuple[int | None, int | None]:
+        """floor(log10 |lo|) and floor(log10 |hi|), None for an endpoint at 0."""
+        lo, hi = abs(self.lo_num), abs(self.hi_num)
+        return (_floor_log10(lo, self.den) if lo else None,
+                _floor_log10(hi, self.den) if hi else None)
+
     # -- exact interval arithmetic -----------------------------------------
 
     def __add__(self, other) -> "CertifiedReal":
@@ -248,6 +286,20 @@ def _iv(lo_num: int, hi_num: int, den: int) -> CertifiedReal:
     object.__setattr__(x, "hi_num", hi_num)
     object.__setattr__(x, "den", den)
     return x
+
+
+def _sign(n: int) -> int:
+    return (n > 0) - (n < 0)
+
+
+def _half_even(n: int, den: int) -> int:
+    """n / den rounded to the nearest integer, ties to the even one."""
+    q, r = divmod(n, den)
+    return q + (2 * r > den or (2 * r == den and q % 2))
+
+
+_ROUNDINGS = {"floor": int.__floordiv__, "ceil": lambda n, den: -(-n // den),
+              "half_even": _half_even}
 
 
 def _aligned(a: CertifiedReal, b: CertifiedReal) -> tuple[int, int, int, int, int]:
@@ -342,15 +394,15 @@ def _directed(lo: int, hi: int, den: int) -> tuple[int, int]:
     return lo // den, -(-hi // den)
 
 
-def _floor_log10(x: int | Fraction) -> int:
-    """floor(log10(x)) for a positive rational, exact at any size.
+def _floor_log10(num: int, den: int = 1) -> int:
+    """floor(log10(num / den)) for a positive rational in any terms, den > 0,
+    exact at any size.
 
     A bit-length estimate corrected by integer comparisons; unlike
     ``len(str(n))`` it is not subject to the int-to-str digit limit.
     """
-    if x <= 0:
+    if num <= 0:
         raise ValueError("log10 of non-positive value")
-    num, den = x.numerator, x.denominator
     k = (num.bit_length() - den.bit_length()) * 30103 // 100000
     num, den = (num, den * 10 ** k) if k >= 0 else (num * 10 ** -k, den)
     # num/den = x / 10^k lies within a step or two of [1, 10)

@@ -45,6 +45,17 @@ GOLDEN = {
         (0, "76e43457583bd002de31a2db693d7b90640c9826f8c0bd843a0ec8b5cc59597f"),
     "measure lit:0.101 --rows 3":
         (0, "8b246eb15e401c0698fdee9d72f2fc81121bb6f02cc3456d444251841c963b73"),
+    # the largest shapes of perfbench's tables workload
+    "probe pi2 --rows 200 --format csv":
+        (0, "801e8c6a79ab14af1f777c145b392846f00bff13121b3afaccad0f52671ed8ef"),
+    "verify pi2 --terms 200":
+        (0, "76e43457583bd002de31a2db693d7b90640c9826f8c0bd843a0ec8b5cc59597f"),
+    "probe pi^3/4 --rows 110 --format csv":
+        (0, "a06379a84d628c0cce7370e516ec8d838c69c3af3676231b740849056e90e9d8"),
+    "verify surd:1,2,69,5 --terms 110":
+        (0, "cf0f06dd72f2f115ff8da35facbe9b49e736bf1e1b7d4c3eb97e1e1a4da0da8c"),
+    "measure sqrt:199 --rows 150 --format csv":
+        (0, "b06c8243d04a9ce8662fd8ed5b08383420310ac8dc17396adfe15be1f02dfc07"),
     # the precision cap: exit 1 before any row is printed
     "verify pi2 --terms 10 --digits 999990":
         (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

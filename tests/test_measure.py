@@ -204,7 +204,7 @@ def ladder_residual(alpha, conv, budget):
         return eps
 
     eps = escalate(attempt, budget)
-    lead = 0 if eps.is_zero() else max(0, -_floor_log10(abs(eps).lo))
+    lead = 0 if eps.is_zero() else max(0, -_floor_log10(*abs(eps).lo.as_integer_ratio()))
     return eps, PrecisionBudget(budget.digits + lead, budget.guard, budget.cap)
 
 
