@@ -25,7 +25,7 @@ from .convergents import (
 )
 from .errors import PrecisionError
 from .measure import _mu_rows, measure_table
-from .probe import _probe_rows, _residual_flags
+from .probe import PI2, _probe_rows, _residual_flags
 from .reals import (DEFAULT_BUDGET, ConstantSpec, DecimalLiteral, PiPower,
                     PrecisionBudget, Surd)
 
@@ -38,7 +38,7 @@ def parse_constant(token: str) -> ConstantSpec:
     if token == "pi":
         return PiPower(1, 1)
     if token == "pi2":
-        return PiPower(2, 1)
+        return PI2
     if token == "pi3":
         return PiPower(3, 1)
     if token == "golden":

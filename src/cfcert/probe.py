@@ -29,6 +29,9 @@ from .reals import (
 )
 
 
+PI2 = PiPower(2, 1)  # pi^2, whose probe adds the direct sine column
+
+
 class ProbeRow(namedtuple("ProbeRow", "display_n epsilon abs_epsilon sin_direct "
                            "sin_reduced sin_unscaled lower_bound_ok upper_bound_ok "
                            "envelope_ok", defaults=(None, None, None))):
@@ -59,7 +62,7 @@ def sine_probe(alpha: ConstantSpec, conv: Convergent,
     """
     eps, sine_budget = _working_residual(alpha, conv, budget)
     abs_eps = abs(eps)
-    direct = alpha == PiPower(2, 1)
+    direct = alpha == PI2
     # pi^3 * q needs log10(q) more digits of pi than pi * eps, and 2 for 3 pi^2
     q_digits = _floor_log10(conv.q) + 1 if direct else 0
     pi = pi_interval(sine_budget.working + q_digits + 2)

@@ -14,7 +14,6 @@ import re
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from fractions import Fraction
-from functools import partial
 from itertools import count
 from math import gcd, isqrt, log
 
@@ -515,25 +514,43 @@ def _cell(scale: int, enclose: Callable[..., tuple[int, int]], *args) -> tuple[i
         _KEPT[(enclose, *args)] = kept, (lo, hi)
 
 
-# -- the one Taylor series on fixed-point pairs ------------------------------
+# -- the one Taylor series, in midpoint-radius form --------------------------
 
 def _series_fx(power: tuple[int, int], ratio: tuple[int, int], scale: int,
                steps: Iterator[tuple[int, int]]) -> tuple[int, int]:
-    """Pair of sum_k P_k / n_k: P_0 = ``power``, n_0 = 1, and for k >= 1
-    P_k = P_(k-1) * ``ratio`` / (10^scale m_k), (m_k, n_k) from endless ``steps``.
+    """Pair of sum_k P_k / n_k: P_0 in the pair ``power``, n_0 = 1, and for
+    k >= 1 P_k = P_(k-1) * R / (10^scale m_k), R in the pair ``ratio`` and
+    (m_k, n_k) from endless ``steps``.
 
-    One directed rounding per P_k, as floor(P / (10^scale m)) equals
-    floor(floor(P / 10^scale) / m).  Stops once |P_k| falls to 8 ulps; the
-    final widening by 64 covers both the truncation tail (each caller bounds
-    its term ratio) and the stalled rounding ulps of the stop threshold.
+    Midpoint-radius form (Johansson, "Arb", IEEE TC 2017): P_k lies within
+    r_k ulps of one integer c_k, and R within rho of its midpoint R', so a
+    term costs one big product, c_k = floor(c R' / (10^scale m)).  As
+    |P R - c R'| <= r (|R'| + rho) + |c| rho and the floor adds under an
+    ulp, r_k = ceil((r (|R'| + rho) + |c| rho) / (10^scale m)) + 1, with
+    products by small integers only.  r_k shrinks with the term ratio
+    |R| / 10^scale, not through m_k alone, so it settles at a few ulps even
+    where every m_k = 1 (atanh).  Stops once |c| + r <= 8 ulps bound the
+    last power summed.  Each caller keeps the term ratio |R| / (10^scale m_k)
+    at most 4/5, so the omitted terms sum to at most 8 (4/5) / (1 - 4/5) = 32
+    ulps, and the final widening by 64 covers them.
     """
     d = 10 ** scale
     lo, hi = power
+    c, r = _ball(*power)
+    mid, rho = _ball(*ratio)
+    reach = abs(mid) + rho
     for m, n in steps:
-        if max(abs(power[0]), abs(power[1])) <= 8:
+        if abs(c) + r <= 8:
             return lo - 64, hi + 64
-        power = _directed(*_hull(*power, *ratio), d * m)
-        lo, hi = lo + power[0] // n, hi - (-power[1] // n)
+        dm = d * m
+        c, r = c * mid // dm, -(-(r * reach + abs(c) * rho) // dm) + 1
+        lo, hi = lo + (c - r) // n, hi - (-(c + r) // n)
+
+
+def _ball(lo: int, hi: int) -> tuple[int, int]:
+    """Integer midpoint c and radius r of [lo, hi]: c - r <= lo, hi = c + r."""
+    c = (lo + hi) // 2
+    return c, hi - c
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +593,6 @@ def _ln_point_fx(x: tuple[int, int], scale: int) -> tuple[int, int]:
 def _exp_point_fx(y: tuple[int, int], scale: int) -> tuple[int, int]:
     """exp of an exact rational with |y| <= scale ln 10, as a directed pair."""
     num, den = y
-    bound, unit = (scale * log(10)).as_integer_ratio()
-    if abs(num) * unit > bound * den:
-        raise PrecisionError(f"exp argument out of range at scale {scale}")
     s = scale + 12
     # y = j*ln2 + r with |r| <= 0.36 after round-to-nearest j
     j = (num * 1_442_695 + 500_000 * den) // (1_000_000 * den)
@@ -589,13 +603,6 @@ def _exp_point_fx(y: tuple[int, int], scale: int) -> tuple[int, int]:
     e = _series_fx((d, d), (y_lo - jl[1], y_hi - jl[0]), s, ((i, 1) for i in count(1)))
     # times 2^j, back to scale
     return _directed(e[0] << max(j, 0), e[1] << max(j, 0), 10 ** 12 << max(-j, 0))
-
-
-def _increasing_fx(kernel: Callable, x: CertifiedReal, scale: int) -> CertifiedReal:
-    """Increasing f over x from its directed point kernel, run once for a point."""
-    lo = kernel((x.lo_num, x.den), scale)
-    hi = lo if x.hi_num == x.lo_num else kernel((x.hi_num, x.den), scale)
-    return _iv(lo[0], hi[1], 10 ** scale)
 
 
 def _root_point_fx(x: tuple[int, int], scale: int, k: int) -> tuple[int, int]:
@@ -651,8 +658,9 @@ def _spec_fx(spec: ConstantSpec, scale: int) -> tuple[int, int]:
         # pi^t widens pi's one-ulp cell to t pi^(t-1) < 10^t ulps
         pi = pi_interval(scale + t)
         # positive base: endpoint powers and roots are directed automatically
-        x = _increasing_fx(partial(_root_point_fx, k=spec.s),
-                           _iv(pi.lo_num ** t, pi.hi_num ** t, pi.den ** t), scale)
+        lo, _ = _root_point_fx((pi.lo_num ** t, pi.den ** t), scale, spec.s)
+        _, hi = _root_point_fx((pi.hi_num ** t, pi.den ** t), scale, spec.s)
+        x = CertifiedReal.from_fixed(lo, hi, scale)
         if spec.t < 0:
             x = x.reciprocal()
     elif isinstance(spec, Surd):
@@ -716,13 +724,31 @@ def sin_certified(x: CertifiedReal, budget: PrecisionBudget) -> CertifiedReal:
 # certified log/exp on intervals (used by the measure column)
 # ---------------------------------------------------------------------------
 
+# Both in midpoint-radius form, as the sine: one kernel run at the exact
+# midpoint c of the interval, widened by the mean value theorem over the
+# half-width h.  A point has h = 0 and gets the kernel's pair itself.
+
 def ln_certified(x: CertifiedReal, scale: int) -> CertifiedReal:
-    """Enclosure of ln over a certainly-positive interval."""
+    """Enclosure of ln over a certainly-positive interval, however wide:
+    |ln(c + t) - ln c| <= h / lo for |t| <= h."""
     if not x.certainly_positive():
         raise PrecisionError("ln needs an interval certified positive")
-    return _increasing_fx(_ln_point_fx, x, scale)
+    lo, hi = _ln_point_fx((x.lo_num + x.hi_num, 2 * x.den), scale)
+    # h / lo = (hi_num - lo_num) / (2 lo_num), in ulps rounded up
+    slack = -(-(x.hi_num - x.lo_num) * 10 ** scale // (2 * x.lo_num))
+    return _iv(lo - slack, hi + slack, 10 ** scale)
 
 
 def exp_certified(y: CertifiedReal, scale: int) -> CertifiedReal:
-    """Enclosure of exp over an interval."""
-    return _increasing_fx(_exp_point_fx, y, scale)
+    """Enclosure of exp over an interval with both ends in [-scale ln 10,
+    scale ln 10] (else PrecisionError): |exp(c + t) - exp c| <= h exp(c) e^h
+    for |t| <= h, where e^h <= 2^ceil(2h) as ln 2 > 1/2."""
+    bound, unit = (scale * log(10)).as_integer_ratio()
+    if max(-y.lo_num, y.hi_num) * unit > bound * y.den:
+        raise PrecisionError(f"exp argument out of range at scale {scale}")
+    lo, hi = _exp_point_fx((y.lo_num + y.hi_num, 2 * y.den), scale)
+    # exp c <= hi ulps and 2h = w / den: h exp(c) e^h <= hi w 2^e / (2 den)
+    w = y.hi_num - y.lo_num
+    e = -(-w // y.den)
+    slack = -(-(hi * w << e) // (2 * y.den))
+    return _iv(max(lo - slack, 0), hi + slack, 10 ** scale)

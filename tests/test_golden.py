@@ -56,6 +56,11 @@ GOLDEN = {
         (0, "cf0f06dd72f2f115ff8da35facbe9b49e736bf1e1b7d4c3eb97e1e1a4da0da8c"),
     "measure sqrt:199 --rows 150 --format csv":
         (0, "b06c8243d04a9ce8662fd8ed5b08383420310ac8dc17396adfe15be1f02dfc07"),
+    "measure pi2 --rows 300":
+        (0, "fc4af2bd5a6146a389602ffd8d9edc4abb01d24e34bc2237d82dfcf26e8cd9d7"),
+    # the series at 2000 digits, far above the default 60
+    "probe pi2 --rows 3 --digits 2000":
+        (0, "ed9685b6b314ca5675753e34138a0d5985e0311bc1e92e75b796107942b11314"),
     # the precision cap: exit 1 before any row is printed
     "verify pi2 --terms 10 --digits 999990":
         (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -300,6 +300,33 @@ class TestSine:
             assert agrees(out, ref, 45)
 
 
+def around(mid: Fraction, ratio: Fraction) -> tuple[Fraction, Fraction]:
+    """(lo, hi - lo) of the interval with midpoint ``mid`` and hi / lo = ``ratio``."""
+    lo = 2 * mid / (1 + ratio)
+    return lo, lo * (ratio - 1)
+
+
+@st.composite
+def log_exp_intervals(draw):
+    """("ln" or "exp", lo, width, scale): narrow intervals 10^-(scale+1) to
+    10^-(scale+25) wide, and wide ones, with hi / lo >= 100 for ln and a
+    half-width h >= 1 for exp."""
+    kind = draw(st.sampled_from(["ln", "exp"]))
+    scale = draw(st.integers(10, 60))
+    wide = draw(st.booleans())
+    if kind == "ln":
+        lo = draw(st.fractions(Fraction(1, 10 ** 6), 10 ** 6, max_denominator=10 ** 9))
+        factor = draw(st.fractions(99, 10 ** 4, max_denominator=100))
+    else:
+        lo = draw(st.fractions(-20, 10, max_denominator=10 ** 9))
+        factor = draw(st.fractions(2, 10, max_denominator=100))
+    if wide:
+        width = lo * factor if kind == "ln" else factor
+    else:
+        width = Fraction(1, 10 ** (scale + draw(st.integers(1, 25))))
+    return kind, lo, width, scale
+
+
 class TestLogExp:
     @settings(max_examples=25, deadline=None)
     @given(st.fractions(min_value=Fraction(1, 1000), max_value=1000))
@@ -324,19 +351,30 @@ class TestLogExp:
         with mp.workdps(60):
             assert agrees(out, mp.exp(mp.mpf(y.numerator) / y.denominator), 40)
 
+    @pytest.mark.parametrize("lo, hi", [(-70, 0), (0, 70), (-70, 70)])
+    def test_exp_refuses_an_end_out_of_range(self, lo, hi):
+        # 70 > 30 ln 10 = 69.08, where exp(70) needs 31 digits before the point
+        with pytest.raises(PrecisionError, match="out of range"):
+            exp_certified(CertifiedReal(lo, hi), 30)
+        assert exp_certified(CertifiedReal(lo // 70 * 69, hi // 70 * 69), 30).hi >= 0
+
     def test_ln_exp_roundtrip(self):
         x = CertifiedReal.point(Fraction(7))
         back = exp_certified(ln_certified(x, 40), 40)
         assert back.contains(7)
         assert back.width < Fraction(1, 10 ** 30)
 
-    @pytest.mark.parametrize("evaluate, kernel, x", [
-        (lambda x: ln_certified(x, 40), "_ln_point_fx", Fraction(6462326841763)),
-        (lambda x: exp_certified(x, 40), "_exp_point_fx", Fraction(-7, 3)),
+    @pytest.mark.parametrize("evaluate, kernel, x, width", [
+        (lambda x: ln_certified(x, 40), "_ln_point_fx", Fraction(6462326841763), 0),
+        (lambda x: exp_certified(x, 40), "_exp_point_fx", Fraction(-7, 3), 0),
         (lambda x: sin_certified(x, PrecisionBudget(30)), "_sin_point_fx",
-         Fraction(1, 3)),
-    ], ids=["ln", "exp", "sin"])
-    def test_point_runs_kernel_once(self, monkeypatch, evaluate, kernel, x):
+         Fraction(1, 3), 0),
+        (lambda x: ln_certified(x, 40), "_ln_point_fx", Fraction(6462326841763),
+         Fraction(1, 10 ** 30)),
+        (lambda x: exp_certified(x, 40), "_exp_point_fx", Fraction(-7, 3),
+         Fraction(3)),
+    ], ids=["ln", "exp", "sin", "ln-interval", "exp-interval"])
+    def test_point_runs_kernel_once(self, monkeypatch, evaluate, kernel, x, width):
         calls = []
         original = getattr(reals, kernel)
 
@@ -345,11 +383,38 @@ class TestLogExp:
             return original(v, scale)
 
         monkeypatch.setattr(reals, kernel, counted)
-        out = evaluate(CertifiedReal.point(x))
+        out = evaluate(CertifiedReal(x, x + width))
         assert len(calls) == 1
-        # the same enclosure as the kernel's lower and upper bounds at x
-        lo, hi = original(x.as_integer_ratio(), calls[0])
-        assert out == CertifiedReal.from_fixed(lo, hi, calls[0])
+        if width == 0:
+            # the same enclosure as the kernel's lower and upper bounds at x
+            lo, hi = original(x.as_integer_ratio(), calls[0])
+            assert out == CertifiedReal.from_fixed(lo, hi, calls[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_exp_intervals())
+    # midpoints at the ends of the mantissa range [2/3, 4/3) of the ln
+    # reduction, narrow and with hi / lo = 100
+    @example(("ln", *around(Fraction(2, 3), 1 + Fraction(1, 10 ** 40)), 30))
+    @example(("ln", *around(Fraction(4, 3), 1 + Fraction(1, 10 ** 40)), 30))
+    @example(("ln", *around(Fraction(4, 3) * 2 ** 20, 100), 30))
+    @example(("ln", *around(Fraction(2, 3) * Fraction(2) ** -20, 100), 30))
+    # hi / lo = 1000, and h = 5
+    @example(("ln", Fraction(1, 7), Fraction(999, 7), 12))
+    @example(("exp", Fraction(-7, 3), Fraction(10), 20))
+    def test_intervals_contain_oracle(self, case):
+        kind, lo, width, scale = case
+        x = CertifiedReal(lo, lo + width)
+        evaluate, oracle = {"ln": (ln_certified, mp.log),
+                            "exp": (exp_certified, mp.exp)}[kind]
+        out = evaluate(x, scale)
+        assert out.den == 10 ** scale
+        with mp.workdps(2 * scale + 20):
+            for e in (x.lo, x.lo + width / 3, x.hi):
+                ref = exact(oracle(as_mpf(e)))
+                tol = (abs(ref) + 1) / 10 ** (2 * scale)  # far below an ulp
+                assert out.lo - tol <= ref <= out.hi + tol
+        if kind == "exp":
+            assert out.lo >= 0
 
 
 class TestIntervalArithmetic:
@@ -719,46 +784,117 @@ def ref_atanh_loop(z, scale):
     return lo - 64, hi + 64
 
 
-def series_sin(t, scale):
+def counted(steps, seen):
+    """``steps``, appending each step drawn to the list ``seen``; a series
+    that has not ended after 10,000 steps (3,150 at most here) fails."""
+    for step in steps:
+        seen.append(step)
+        assert len(seen) <= 10_000, "the series does not end"
+        yield step
+
+
+def series_sin(t, scale, seen):
     t2 = reals._directed(*reals._hull(*t, *t), 10 ** scale)
     return reals._series_fx(t, (-t2[1], -t2[0]), scale,
-                            ((2 * i * (2 * i + 1), 1) for i in count(1)))
+                            counted(((2 * i * (2 * i + 1), 1) for i in count(1)), seen))
 
 
-def series_exp(t, scale):
+def series_exp(t, scale, seen):
     one = 10 ** scale
-    return reals._series_fx((one, one), t, scale, ((i, 1) for i in count(1)))
+    return reals._series_fx((one, one), t, scale, counted(((i, 1) for i in count(1)), seen))
 
 
-def series_atanh(z, scale):
+def series_atanh(z, scale, seen):
     z2 = reals._directed(*reals._hull(*z, *z), 10 ** scale)
-    return reals._series_fx(z, z2, scale, ((1, 2 * i + 1) for i in count(1)))
+    return reals._series_fx(z, z2, scale, counted(((1, 2 * i + 1) for i in count(1)), seen))
+
+
+# Per step drawn, the series may end up wider than the loop it replaced by
+# at most this many ulps: its radius settles at 2 to 4 ulps where a directed
+# pair stays 1 to 2 ulps wide (3.1 was the most seen, on exp at scale 29).
+ULPS_PER_STEP = 4
+
+
+def assert_encloses_like(out, ref, steps, scale, f, ends):
+    """``out`` and the replaced loop's ``ref`` both hold f(e) 10^scale for e
+    in ``ends`` (mpmath at twice the scale), and ``out`` is at most
+    ULPS_PER_STEP ulps per step wider than ``ref``."""
+    d = 10 ** scale
+    with mp.workdps(2 * scale + 10):
+        for e in ends:
+            true = f(as_mpf(e)) * d
+            assert ref[0] <= true <= ref[1]
+            assert out[0] <= true <= out[1]
+    assert out[1] - out[0] <= ref[1] - ref[0] + ULPS_PER_STEP * steps
 
 
 class TestOneSeries:
-    """The one series routine, called as the kernels call it, is bit-identical
-    to the three loops it replaced on directed pairs in each series' range."""
+    """The one series routine, in midpoint-radius form and called as the
+    kernels call it, against the three loops on directed pairs that it
+    replaced, in each series' range: it holds the true value wherever they
+    do, at most ULPS_PER_STEP ulps per step wider, and ends within a stated
+    number of steps."""
 
     @settings(max_examples=9, deadline=None)
-    @given(st.sampled_from([(series_sin, ref_sin_loop, Fraction(8, 5)),
-                            (series_exp, ref_exp_loop, Fraction(4, 5)),
-                            (series_atanh, ref_atanh_loop, Fraction(1, 3))]),
+    @given(st.sampled_from([(series_sin, ref_sin_loop, Fraction(8, 5), mp.sin),
+                            (series_exp, ref_exp_loop, Fraction(4, 5), mp.exp),
+                            (series_atanh, ref_atanh_loop, Fraction(1, 3), mp.atanh)]),
            st.integers(10, 3000), st.fractions(-1, 1), st.integers(0, 4))
-    @example((series_sin, ref_sin_loop, Fraction(8, 5)), 3000, Fraction(1), 0)
-    @example((series_exp, ref_exp_loop, Fraction(4, 5)), 3000, Fraction(-1), 3)
-    @example((series_atanh, ref_atanh_loop, Fraction(1, 3)), 3000, Fraction(1), 1)
+    @example((series_sin, ref_sin_loop, Fraction(8, 5), mp.sin), 3000, Fraction(1), 0)
+    @example((series_exp, ref_exp_loop, Fraction(4, 5), mp.exp), 3000, Fraction(-1), 3)
+    @example((series_atanh, ref_atanh_loop, Fraction(1, 3), mp.atanh), 3000, Fraction(1), 1)
     # P_1 = (8, 8) is the last power summed: the stop test is |P_k| <= 8
-    @example((series_exp, ref_exp_loop, Fraction(4, 5)), 10, Fraction(1, 10 ** 9), 0)
-    def test_bit_identical_to_replaced_loops(self, series, scale, position, width):
-        fused, loop, bound = series
+    @example((series_exp, ref_exp_loop, Fraction(4, 5), mp.exp), 10, Fraction(1, 10 ** 9), 0)
+    # a ratio 1000 ulps wide: P_1's radius is all |P_0| rho
+    @example((series_exp, ref_exp_loop, Fraction(4, 5), mp.exp), 40, Fraction(1, 2), 1000)
+    def test_encloses_where_replaced_loops_do(self, series, scale, position, width):
+        fused, loop, bound, f = series
         hi = floor(position * bound * 10 ** scale)
         pair = (hi - width, hi) if position > 0 else (hi, hi + width)
-        assert fused(pair, scale) == loop(pair, scale)
+        seen = []
+        out = fused(pair, scale, seen)
+        assert_encloses_like(out, loop(pair, scale), len(seen), scale, f,
+                             [Fraction(e, 10 ** scale) for e in pair])
 
     @settings(max_examples=30, deadline=None)
     @given(st.fractions(Fraction(-8, 5), Fraction(8, 5), max_denominator=10 ** 40),
            st.integers(10, 400))
-    def test_sine_kernel_matches_replaced_loop(self, x, scale):
+    def test_sine_kernel_encloses_where_replaced_loop_does(self, x, scale):
         d = 10 ** scale
         t = (floor(x * d), ceil(x * d))
-        assert reals._sin_point_fx(x.as_integer_ratio(), scale) == ref_sin_loop(t, scale)
+        seen = []
+        out = reals._sin_point_fx(x.as_integer_ratio(), scale)
+        assert out == series_sin(t, scale, seen)
+        assert_encloses_like(out, ref_sin_loop(t, scale), len(seen), scale, mp.sin, [x])
+
+    # The most steps each kernel may draw at ``scale``.  The power falls by
+    # the term ratio each step, to at most 8 ulps: by 1/25 or more for ln's
+    # atanh (|z| <= 1/5, at scale + 8), by |r| / k <= 0.36 / k for exp (at
+    # scale + 12) and by 2.56 / (2k (2k + 1)) for sin.
+    STEP_BOUNDS = {
+        "_ln_point_fx": lambda scale: 3 * (scale + 8) // 4 + 3,
+        "_exp_point_fx": lambda scale: scale // 2 + 20,
+        "_sin_point_fx": lambda scale: scale // 3 + 10,
+    }
+
+    @pytest.mark.parametrize("scale", [10, 11, 40, 300, 3000])
+    @pytest.mark.parametrize("kernel, args", [
+        ("_ln_point_fx", [Fraction(2, 3), Fraction(4, 3) - Fraction(1, 10 ** 30),
+                          Fraction(7), Fraction(1, 10 ** 9)]),
+        ("_exp_point_fx", [Fraction(1, 3), Fraction(-7, 3), Fraction(20), Fraction(-20)]),
+        ("_sin_point_fx", [Fraction(8, 5), Fraction(-8, 5), Fraction(1, 3)]),
+    ], ids=["ln", "exp", "sin"])
+    def test_kernel_steps_bounded(self, monkeypatch, kernel, args, scale):
+        limit = self.STEP_BOUNDS[kernel](scale)
+        original = reals._series_fx
+
+        def capped(power, ratio, s, steps):
+            def take():
+                for i, step in enumerate(steps):
+                    assert i < limit, f"{kernel} drew more than {limit} steps"
+                    yield step
+            return original(power, ratio, s, take())
+
+        monkeypatch.setattr(reals, "_series_fx", capped)
+        for x in args:
+            getattr(reals, kernel)(x.as_integer_ratio(), scale)
