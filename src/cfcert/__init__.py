@@ -7,7 +7,7 @@ irrationality measure mu_n, the q^(mu_n - 2) column, residual bounds,
 and the sine-probe identities, all as certified enclosures.
 """
 
-from .cf import PartialQuotients, SurdExpansion, certify, expand, surd_expand
+from .cf import PartialQuotients, SurdExpansion, expand, surd_expand
 from .convergents import (
     Convergent,
     Mat2,
@@ -19,17 +19,11 @@ from .convergents import (
     fib_power,
     final_convergent,
     telescoping_sum,
+    telescoping_sums,
 )
 from .errors import PrecisionError
-from .measure import MeasureRow, lagrange, measure_table, mu_n, residual
-from .probe import (
-    BoundReport,
-    ProbeRow,
-    bound_check,
-    envelope_check,
-    probe_table,
-    sine_probe,
-)
+from .measure import MeasureRow, lagrange, measure_table, mu_n, mu_table, residual
+from .probe import ProbeRow, bound_check, envelope_check, probe_table, sine_probe
 from .reals import (
     CertifiedReal,
     ConstantSpec,
@@ -47,7 +41,6 @@ from .reals import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport",
     "CertifiedReal",
     "ConstantSpec",
     "Convergent",
@@ -63,7 +56,6 @@ __all__ = [
     "SurdExpansion",
     "WorkCounter",
     "bound_check",
-    "certify",
     "check_determinant",
     "convergents_fast",
     "convergents_iter",
@@ -78,6 +70,7 @@ __all__ = [
     "ln_certified",
     "measure_table",
     "mu_n",
+    "mu_table",
     "pi_interval",
     "probe_table",
     "residual",
@@ -85,4 +78,5 @@ __all__ = [
     "sine_probe",
     "surd_expand",
     "telescoping_sum",
+    "telescoping_sums",
 ]

@@ -163,22 +163,6 @@ def expand(spec: ConstantSpec, want_terms: int,
     return escalate(attempt, budget)
 
 
-def certify(spec: ConstantSpec, want_terms: int,
-            budget: PrecisionBudget = DEFAULT_BUDGET) -> int:
-    """Length of the quotient prefix certified at ``budget`` alone.
-
-    Euclid on the endpoints of one enclosure, rounded outward to the
-    ``working`` grid; no escalation.
-    Exact rationals certify their whole terminating expansion.
-    """
-    if want_terms < 1:
-        raise ValueError("want_terms must be >= 1")
-    exact = exact_value(spec)
-    if exact is not None:
-        return len(list(_euclid(*exact.as_integer_ratio())))
-    return len(_certified_prefix(spec, want_terms, budget))
-
-
 # ---------------------------------------------------------------------------
 # exact periodic expansion for quadratic surds
 # ---------------------------------------------------------------------------

@@ -16,16 +16,16 @@ from functools import partial
 from .cf import expand, surd_expand
 from .convergents import (
     WorkCounter,
-    _telescoping_sums,
     check_determinant,
     convergents_fast,
     convergents_iter,
     convergents_matrix,
     final_convergent,
+    telescoping_sums,
 )
 from .errors import PrecisionError
-from .measure import _mu_rows, measure_table
-from .probe import PI2, _probe_rows, _residual_flags
+from .measure import measure_table, mu_table
+from .probe import PI2, bound_check, probe_table
 from .reals import (DEFAULT_BUDGET, ConstantSpec, DecimalLiteral, PiPower,
                     PrecisionBudget, Surd)
 
@@ -116,7 +116,7 @@ def _cmd_measure(args, out) -> int:
     spec = parse_constant(args.constant)
     budget = PrecisionBudget(args.digits)
     if args.format == "plot":
-        for r in _mu_rows(spec, args.terms, budget):
+        for r in mu_table(spec, args.terms, budget):
             if r.mu is not None:
                 _print(out, f"({r.display_n},{r.mu})")
         return 0
@@ -137,7 +137,7 @@ def _cmd_probe(args, out) -> int:
     quotients = expand(spec, args.terms, budget)
     upto = min(args.terms, len(quotients)) - 1
     convs = convergents_iter(quotients, upto)
-    rows = _probe_rows(spec, convs, budget)
+    rows = probe_table(spec, convs, budget)
     if args.format == "csv":
         _print(out, "n,epsilon,sin_direct,sin_reduced,sin_unscaled,"
                     "lower_ok,upper_ok,envelope_ok")
@@ -182,7 +182,7 @@ def _cmd_verify(args, out) -> int:
     convs = convergents_iter(quotients, upto)
     report("determinant identity", check_determinant(convs))
 
-    sums = _telescoping_sums(quotients, upto)
+    sums = telescoping_sums(quotients, upto)
     bad = next((f"first failure at n={c.n}" for pair, c in zip(sums, convs)
                 if pair != (c.p, c.q)), "")
     report("telescoping identity", not bad, bad)
@@ -193,7 +193,7 @@ def _cmd_verify(args, out) -> int:
     report("engine equivalence", engines_ok)
 
     if upto >= 1 and not quotients.terminated:
-        flags = [_residual_flags(spec, c, d, budget) for c, d in zip(convs, convs[1:])]
+        flags = bound_check(spec, convs, budget)
         # row n is convs[n - 1]; classical bounds hold from the second convergent
         bad = next((f"first failure at n={n}" for n, (lower, upper, _) in
                     enumerate(flags[1:], 2) if not (lower and upper)), "")

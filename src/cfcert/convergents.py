@@ -225,7 +225,7 @@ def check_determinant(seq: Sequence[Convergent]) -> bool:
     return True
 
 
-def _telescoping_sums(quotients, upto: int) -> Iterator[tuple[int, int]]:
+def telescoping_sums(quotients, upto: int) -> Iterator[tuple[int, int]]:
     """a_0 + sum_{0<=k<n} (-1)^k / (q_k * q_k+1) as (N_n, q_n) for n = 0..upto,
     by N_k+1 = (N_k * q_k+1 + (-1)^k) / q_k: exact, as N_k = p_k and
     p_k+1 * q_k - p_k * q_k+1 = (-1)^k for any integer quotients; no gcd."""
@@ -240,7 +240,7 @@ def _telescoping_sums(quotients, upto: int) -> Iterator[tuple[int, int]]:
 
 def telescoping_sum(quotients, n: int) -> Fraction:
     """a_0 + sum_{0<=k<n} (-1)^k / (q_k * q_k+1), exactly p_n/q_n."""
-    for last in _telescoping_sums(quotients, n):
+    for last in telescoping_sums(quotients, n):
         pass  # keep only the last sum
     return Fraction(*last)
 

@@ -176,18 +176,19 @@ def lagrange(q: int, mu) -> Decimal:
 
 def measure_table(alpha: ConstantSpec, rows: int,
                   budget: PrecisionBudget = DEFAULT_BUDGET) -> list[MeasureRow]:
-    """Rows 1..rows of the measure table, escalating from ``budget`` as needed.
+    """``mu_table`` with the q^(mu_n - 2) column filled where mu_n is present."""
+    return [r if r.mu is None else r._replace(lagrange=lagrange(r.q, r.mu))
+            for r in mu_table(alpha, rows, budget)]
+
+
+def mu_table(alpha: ConstantSpec, rows: int,
+             budget: PrecisionBudget = DEFAULT_BUDGET) -> list[MeasureRow]:
+    """Rows 1..rows of the measure table, escalating from ``budget`` as
+    needed, without q^(mu_n - 2) where mu_n is present.
 
     Display index n is the 0-based convergent index plus one.  For exact
     rational constants the table stops at the terminating expansion.
     """
-    return [r if r.mu is None else r._replace(lagrange=lagrange(r.q, r.mu))
-            for r in _mu_rows(alpha, rows, budget)]
-
-
-def _mu_rows(alpha: ConstantSpec, rows: int,
-             budget: PrecisionBudget) -> list[MeasureRow]:
-    """``measure_table``'s rows without q^(mu_n - 2) where mu_n is present."""
     if rows < 1:
         raise ValueError("rows must be >= 1")
     quotients = expand(alpha, rows, budget)

@@ -15,7 +15,7 @@ from functools import partial
 
 from .convergents import Convergent
 from .errors import PrecisionError
-from .measure import _working_residual, mu_n
+from .measure import _working_residual
 from .reals import (
     DEFAULT_BUDGET,
     CertifiedReal,
@@ -46,14 +46,6 @@ class ProbeRow(namedtuple("ProbeRow", "display_n epsilon abs_epsilon sin_direct 
     __slots__ = ()
 
 
-class BoundReport(namedtuple("BoundReport",
-                             "display_n lower_bound_ok upper_bound_ok mu")):
-    """Certified two-sided residual bound flags, with the empirical mu
-    (a Decimal, or None where ``mu_n`` has none); a named tuple."""
-
-    __slots__ = ()
-
-
 def sine_probe(alpha: ConstantSpec, conv: Convergent,
                budget: PrecisionBudget) -> ProbeRow:
     """Probe row for one convergent, each column to ``budget.working``
@@ -78,18 +70,6 @@ def sine_probe(alpha: ConstantSpec, conv: Convergent,
         envelope = _envelope_holds(abs_eps, sin_unscaled, pi)
     return ProbeRow(conv.n + 1, eps, abs_eps, sin_direct, sin_reduced,
                     sin_unscaled, envelope_ok=envelope)
-
-
-def _residual_flags(alpha: ConstantSpec, cur: Convergent, nxt: Convergent,
-                    budget: PrecisionBudget) -> tuple[bool, bool, bool]:
-    """``probe_table``'s (lower, upper, envelope) flags for ``cur``, from eps
-    and |sin eps| alone, escalating while a bound flag is undecided; a
-    convergent's |eps| < 1 is inside the envelope's domain."""
-    def attempt(b: PrecisionBudget) -> tuple[bool, bool, bool]:
-        eps, sine_budget = _working_residual(alpha, cur, b)
-        return (*_bound_flags(abs(eps), cur, nxt), envelope_check(eps, sine_budget))
-
-    return escalate(attempt, budget)
 
 
 def envelope_check(z: CertifiedReal, budget: PrecisionBudget | None = None) -> bool:
@@ -127,28 +107,21 @@ def _envelope_holds(abs_z: CertifiedReal, sin_abs: CertifiedReal,
                 or (sin_abs - abs_z).certainly_positive())
 
 
-def bound_check(alpha: ConstantSpec, rows: list[ProbeRow],
-                convs: list[Convergent],
-                budget: PrecisionBudget = DEFAULT_BUDGET) -> list[BoundReport]:
-    """Certified classical bounds 1/(q_n + q_n+1) < |eps_n| < 1/q_n+1.
-
-    ``convs[i]`` must be the convergent of ``rows[i]`` and each checked
-    row needs its successor in ``convs``; the upper bound implies
-    |alpha - p/q| < 1/q^2.  The empirical mu_n, from ``budget`` up, rides
-    along so the exponent hypothesis can be read next to the certified flags.
-    Raises PrecisionError where a row's enclosure leaves a flag undecided;
-    ``probe_table``'s rows decide both.
+def bound_check(alpha: ConstantSpec, convs: list[Convergent],
+                budget: PrecisionBudget = DEFAULT_BUDGET
+                ) -> list[tuple[bool, bool, bool]]:
+    """``probe_table``'s (lower, upper, envelope) flags for convs[:-1], from
+    eps and |sin eps| alone; a row escalates from ``budget`` while a bound
+    flag is undecided.  A convergent's |eps| < 1 is inside the envelope's domain.
     """
-    if len(convs) < len(rows) + 1:
-        raise ValueError("need the successor convergent for every checked row")
-    reports: list[BoundReport] = []
-    for row, cur, nxt in zip(rows, convs, convs[1:]):
-        if cur.n + 1 != row.display_n:
-            raise ValueError("rows and convergents are misaligned")
-        lower, upper = _bound_flags(row.abs_epsilon, cur, nxt)
-        mu = escalate(partial(mu_n, alpha, cur), budget)
-        reports.append(BoundReport(row.display_n, lower, upper, mu))
-    return reports
+
+    def attempt(cur: Convergent, nxt: Convergent,
+                b: PrecisionBudget) -> tuple[bool, bool, bool]:
+        eps, sine_budget = _working_residual(alpha, cur, b)
+        return (*_bound_flags(abs(eps), cur, nxt), envelope_check(eps, sine_budget))
+
+    return [escalate(partial(attempt, cur, nxt), budget)
+            for cur, nxt in zip(convs, convs[1:])]
 
 
 def _bound_flags(abs_eps: CertifiedReal, cur: Convergent,
@@ -167,17 +140,13 @@ def _bound_flags(abs_eps: CertifiedReal, cur: Convergent,
 
 
 def probe_table(alpha: ConstantSpec, convs: list[Convergent],
-                budget: PrecisionBudget = DEFAULT_BUDGET) -> list[ProbeRow]:
-    """Probe rows for convs[:-1], bound flags filled from each successor; a
-    row escalates from ``budget`` while a bound flag or printed cell is undecided."""
-    return [row for row, _ in _probe_rows(alpha, convs, budget)]
-
-
-def _probe_rows(alpha: ConstantSpec, convs: list[Convergent],
-                budget: PrecisionBudget) -> list[tuple[ProbeRow, list[str]]]:
-    """``probe_table``'s rows, each with its four ``%.6e`` cells (epsilon and
-    the three sines), rounded once inside the row's ``escalate``; no rows
-    for fewer than two convergents."""
+                budget: PrecisionBudget = DEFAULT_BUDGET
+                ) -> list[tuple[ProbeRow, list[str]]]:
+    """Probe rows for convs[:-1], bound flags filled from each successor,
+    each with its four ``%.6e`` cells (epsilon and the three sines).  A row
+    escalates from ``budget`` while a bound flag or printed cell is
+    undecided; no rows for fewer than two convergents.
+    """
 
     def attempt(cur: Convergent, nxt: Convergent,
                 b: PrecisionBudget) -> tuple[ProbeRow, list[str]]:

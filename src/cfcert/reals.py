@@ -342,7 +342,9 @@ class Surd(namedtuple("Surd", "a b d c")):
             raise ValueError("surd denominator c must be nonzero")
         if b == 0:
             raise ValueError("surd coefficient b must be nonzero (value is rational)")
-        if d < 2 or isqrt(d) ** 2 == d:
+        if d < 0:
+            raise ValueError(f"surd discriminant {d} is negative (value is not real)")
+        if isqrt(d) ** 2 == d:
             raise ValueError(f"surd discriminant {d} is a perfect square")
         return super().__new__(cls, a, b, d, c)
 

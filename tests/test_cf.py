@@ -16,14 +16,13 @@ from cfcert import (
     PrecisionBudget,
     PrecisionError,
     Surd,
-    certify,
     convergents_iter,
     eval_constant,
     expand,
     surd_expand,
 )
 import cfcert.cf as cf
-from cfcert.cf import _euclid, _shared_prefix
+from cfcert.cf import _certified_prefix, _euclid, _shared_prefix
 
 from reference_data import PI2_QUOTIENTS_27
 
@@ -120,18 +119,22 @@ class TestExpand:
 
 
 class TestCertify:
+    """The prefix that one enclosure certifies at one budget, no escalation."""
+
     def test_sufficient_budget(self):
-        assert certify(PiPower(2, 1), 27, PrecisionBudget(60)) >= 27
+        assert len(_certified_prefix(PiPower(2, 1), 27, PrecisionBudget(60))) >= 27
 
     def test_insufficient_budget(self):
-        assert certify(PiPower(2, 1), 27, PrecisionBudget(5, guard=2)) < 27
+        assert len(_certified_prefix(PiPower(2, 1), 27, PrecisionBudget(5, guard=2))) < 27
 
     def test_exact_rational(self):
-        assert certify(DecimalLiteral("0.5"), 10, PrecisionBudget(5)) == 2
+        # the whole terminating expansion, whatever the budget
+        q = expand(DecimalLiteral("0.5"), 10, PrecisionBudget(5))
+        assert q.terms == (0, 2) and q.terminated
 
     def test_cap_too_tight_for_agreement_pass(self):
         with pytest.raises(PrecisionError):
-            certify(PiPower(2, 1), 5, PrecisionBudget(30, guard=10, cap=45))
+            _certified_prefix(PiPower(2, 1), 5, PrecisionBudget(30, guard=10, cap=45))
 
 
 def canonical_expansion(x: Fraction) -> list[int]:
@@ -234,7 +237,7 @@ class TestLongExpansions:
 
     def test_pi2_1040_terms_at_working_1120(self):
         # the longest expand in the deep benchmark needs no extra doubling
-        assert certify(PiPower(2, 1), 1040, PrecisionBudget(1110)) >= 1040
+        assert len(_certified_prefix(PiPower(2, 1), 1040, PrecisionBudget(1110))) >= 1040
 
 
 class TestReconstruction:

@@ -24,10 +24,10 @@ from cfcert import (
     PrecisionBudget,
     PrecisionError,
     bound_check,
-    certify,
     expand,
     fib_power,
     measure_table,
+    mu_table,
     probe_table,
 )
 
@@ -376,6 +376,17 @@ class TestExitCodes:
         assert code == 2
         assert "surd takes four integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d, reason", [
+        (-3, "discriminant -3 is negative (value is not real)"),
+        (0, "discriminant 0 is a perfect square"),
+        (1, "discriminant 1 is a perfect square"),
+        (9, "discriminant 9 is a perfect square"),
+    ], ids=["negative", "zero", "one", "nine"])
+    def test_surd_discriminant_reason(self, capsys, d, reason):
+        code, _ = run_cli("expand", f"sqrt:{d}", "--terms", "5")
+        assert code == 2
+        assert reason in capsys.readouterr().err
+
     def test_bad_flag(self):
         code, _ = run_cli("expand", "pi2", "--engine", "warp")
         assert code == 2
@@ -477,7 +488,7 @@ class TestHelpText:
 class TestDefaultBudget:
     def test_one_budget_for_every_default(self):
         # the five public functions and the CLI's --digits share one object
-        functions = (expand, certify, measure_table, probe_table, bound_check)
+        functions = (expand, mu_table, measure_table, probe_table, bound_check)
         defaults = {f.__name__: inspect.signature(f).parameters["budget"].default
                     for f in functions}
         assert all(d is reals.DEFAULT_BUDGET for d in defaults.values()), defaults

@@ -23,8 +23,9 @@ from cfcert import (
     fib_power,
     final_convergent,
     telescoping_sum,
+    telescoping_sums,
 )
-from cfcert.convergents import _recurrence_pairs, _telescoping_sums
+from cfcert.convergents import _recurrence_pairs
 
 # any first quotient >= 0, later ones >= 1
 expansions = st.tuples(
@@ -39,7 +40,7 @@ def gauss_kuzmin_like(n: int, seed: int) -> list[int]:
 
 
 def fraction_telescoping_sums(terms, upto: int):
-    """The Fraction loop that ``_telescoping_sums`` replaced: every partial
+    """The Fraction loop that ``telescoping_sums`` replaced: every partial
     sum is a reduced Fraction.  Kept as the reference."""
     total = Fraction(terms[0])
     yield total
@@ -228,7 +229,7 @@ class TestNegativeIndex:
         lambda t: final_convergent(t, -1, "matrix"),
         lambda t: final_convergent(t, -1, "fast"),
         lambda t: telescoping_sum(t, -1),
-        lambda t: list(_telescoping_sums(t, -2)),
+        lambda t: list(telescoping_sums(t, -2)),
     ], ids=["iter", "matrix", "fast", "final-iter", "final-matrix",
             "final-fast", "telescoping", "telescoping-sums"])
     def test_every_engine_rejects_it(self, call):
@@ -308,7 +309,7 @@ class TestIdentities:
         [1] * 301,
     ], ids=["gauss-kuzmin", "ones"])
     def test_partial_sums_match_every_convergent(self, terms):
-        sums = list(_telescoping_sums(terms, 300))
+        sums = list(telescoping_sums(terms, 300))
         convs = convergents_iter(terms, 300)
         assert len(sums) == 301
         for n, (pair, c) in enumerate(zip(sums, convs)):
@@ -321,7 +322,7 @@ class TestIdentities:
         terms = [a0] + rest
         n = len(terms) - 1
         expected = list(fraction_telescoping_sums(terms, n))
-        pairs = list(_telescoping_sums(terms, n))
+        pairs = list(telescoping_sums(terms, n))
         # each pair is its sum in lowest terms, so no division was inexact
         assert pairs == [(f.numerator, f.denominator) for f in expected]
         total = telescoping_sum(terms, n)

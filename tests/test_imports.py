@@ -9,6 +9,8 @@
   and ``floor_log10``), and other code may read its Fraction views.
 - Every absolute import in the package names a standard-library module:
   the runtime has no dependencies, and mpmath stays a test-only oracle.
+- ``cli.py`` imports no underscore-prefixed name from the package, so
+  every command runs the public function that the tests cover.
 - ``import cfcert.cli`` loads none of the standard-library modules that
   no command needs, so every command starts without paying for them, and
   a command that prints no help loads no ``shutil``.
@@ -22,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import cfcert
+import cfcert.cli as cli
 
 PACKAGE = sorted(Path(cfcert.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
@@ -69,6 +72,14 @@ def non_stdlib_imports(source: str) -> list[str]:
         found += [f"{name} (line {node.lineno})" for name in names
                   if name.split(".")[0] not in sys.stdlib_module_names]
     return sorted(found)
+
+
+def private_package_imports(source: str) -> list[str]:
+    """Underscore-prefixed names in the source's ``from .<module> import``."""
+    return sorted(f"{alias.name} (line {node.lineno})"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.level > 0
+                  for alias in node.names if alias.name.startswith("_"))
 
 
 def loaded_after(statement: str, names: tuple[str, ...]) -> list[str]:
@@ -120,6 +131,18 @@ def test_no_unused_imports(path):
                          ids=lambda p: p.name)
 def test_integer_fields_read_only_in_reals(path):
     assert integer_field_reads(path.read_text()) == []
+
+
+def test_cli_imports_no_private_name():
+    assert private_package_imports(Path(cli.__file__).read_text()) == []
+
+
+def test_detects_a_private_package_import():
+    source = ("from .measure import _mu_rows, measure_table\n"
+              "from .reals import (PI2,\n    _floor_log10)\n"
+              "from os import _exit\n")
+    assert private_package_imports(source) == ["_floor_log10 (line 2)",
+                                               "_mu_rows (line 1)"]
 
 
 def test_detects_an_unused_import():

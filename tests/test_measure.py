@@ -23,6 +23,7 @@ from cfcert import (
     lagrange,
     measure_table,
     mu_n,
+    mu_table,
     residual,
 )
 from cfcert.reals import _floor_log10, escalate
@@ -192,6 +193,19 @@ class TestMeasureTable:
     def test_row_count_validation(self):
         with pytest.raises(ValueError):
             measure_table(PI2, 0)
+        with pytest.raises(ValueError):
+            mu_table(PI2, 0)
+
+    def test_mu_table_is_the_table_without_lagrange(self, table):
+        # the plot path: every column but q^(mu_n - 2) where mu_n is present
+        rows = mu_table(PI2, 30, PrecisionBudget(60))
+        assert rows == [r if r.mu is None else r._replace(lagrange=None) for r in table]
+        assert all(r.mu > 2 for r in rows[2:])
+
+    def test_mu_table_rows_without_exponent(self):
+        # q = 1, then the exact last convergent of 1/2: no mu_n in either row
+        rows = mu_table(DecimalLiteral("0.5"), 5)
+        assert rows == [(1, 0, 1, None, Decimal("1.000000")), (2, 1, 2, None, None)]
 
 
 def ladder_residual(alpha, conv, budget):

@@ -106,6 +106,8 @@ class TestEvalConstant:
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
             Surd(1, 1, 9, 2)  # 9 is a perfect square
+        with pytest.raises(ValueError, match="discriminant -3 is negative"):
+            Surd(0, 1, -3, 1)  # sqrt(-3) is not real, and -3 is no square
         with pytest.raises(ValueError):
             Surd(1, 1, 5, 0)  # zero denominator
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """The contract of the package's public records.
 
-Ten records are named tuples and ``PartialQuotients`` is a slotted
+Nine records are named tuples and ``PartialQuotients`` is a slotted
 sequence of its terms.  Each keeps the repr, immutability, copying,
 pickling and validation it had as a frozen dataclass; the named tuples
 also compare, hash and unpack as the tuple of their fields.
@@ -13,7 +13,6 @@ from decimal import Decimal
 import pytest
 
 from cfcert import (
-    BoundReport,
     CertifiedReal,
     Convergent,
     DecimalLiteral,
@@ -62,11 +61,6 @@ RECORDS = [
      "sin_reduced=CertifiedReal(1/1000, 1/500), "
      "sin_unscaled=CertifiedReal(1/1000, 1/500), lower_bound_ok=True, "
      "upper_bound_ok=False, envelope_ok=None)"),
-    (BoundReport(1, True, False, Decimal("2.5")),
-     "BoundReport(display_n=1, lower_bound_ok=True, upper_bound_ok=False, "
-     "mu=Decimal('2.5'))"),
-    (BoundReport(3, False, True, None),
-     "BoundReport(display_n=3, lower_bound_ok=False, upper_bound_ok=True, mu=None)"),
 ]
 IDS = [r.split("(")[0] + str(i) for i, (_, r) in enumerate(RECORDS)]
 

@@ -337,24 +337,23 @@ def fractions_built(run) -> int:
 
 
 def row_builders(alpha, rows, monkeypatch):
-    """The three row builders over ``rows`` rows of alpha, as zero-argument
-    calls; the quotients are expanded before any of them runs."""
+    """The public table functions that the three commands run, over
+    ``rows`` rows of alpha, as zero-argument calls; the quotients are
+    expanded before any of them runs."""
     budget = DEFAULT_BUDGET
     quotients = expand(alpha, rows + 1, budget)
     convs = convergents_iter(quotients, rows)
 
     def measure_rows():
+        # mu_table's rows, then the q^(mu_n - 2) column
         with monkeypatch.context() as mp:
             mp.setattr(measure, "expand", lambda *_: quotients)
-            for r in measure._mu_rows(alpha, rows, budget):
-                if r.mu is not None:
-                    measure.lagrange(r.q, r.mu)
+            measure.measure_table(alpha, rows, budget)
 
     return {
         "measure": measure_rows,
-        "probe": lambda: probe._probe_rows(alpha, convs, budget),
-        "verify": lambda: [probe._residual_flags(alpha, cur, nxt, budget)
-                           for cur, nxt in zip(convs, convs[1:])],
+        "probe": lambda: probe.probe_table(alpha, convs, budget),
+        "verify": lambda: probe.bound_check(alpha, convs, budget),
     }
 
 
