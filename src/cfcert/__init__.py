@@ -22,7 +22,7 @@ from .convergents import (
     telescoping_sums,
 )
 from .errors import PrecisionError
-from .measure import MeasureRow, lagrange, measure_table, mu_n, mu_table, residual
+from .measure import MeasureRow, lagrange, measure_table, mu_n, mu_table
 from .probe import ProbeRow, bound_check, envelope_check, probe_table, sine_probe
 from .reals import (
     CertifiedReal,
@@ -35,6 +35,7 @@ from .reals import (
     exp_certified,
     ln_certified,
     pi_interval,
+    residual,
     sin_certified,
 )
 

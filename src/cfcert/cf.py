@@ -120,13 +120,9 @@ def _shared_prefix(x: CertifiedReal, max_terms: int) -> list[int]:
 
 def _certified_prefix(spec: ConstantSpec, want_terms: int,
                       budget: PrecisionBudget) -> list[int]:
-    """Shared prefix of one enclosure at this budget alone.
-
-    Rounding outward to the ``working`` grid keeps the certificate from
-    depending on the extra digits ``eval_constant`` worked at.
-    """
-    x = eval_constant(spec, budget).outward(budget.working)
-    return _shared_prefix(x, want_terms)
+    """Shared prefix of ``eval_constant``'s one enclosure at this budget,
+    a one-ulp cell fixed by (spec, budget) alone."""
+    return _shared_prefix(eval_constant(spec, budget), want_terms)
 
 
 def expand(spec: ConstantSpec, want_terms: int,

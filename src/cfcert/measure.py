@@ -1,4 +1,4 @@
-"""Residuals eps_n = q_n*alpha - p_n, mu_n and the q^(mu_n - 2) column.
+"""mu_n and the q^(mu_n - 2) column, from the residuals eps_n = q_n*alpha - p_n.
 
 mu_n(alpha) = -log|alpha - p_n/q_n| / log q_n = 1 - ln|eps_n| / ln q_n,
 from the residual's enclosure.  Displayed mu_n is the ceiling at six
@@ -26,12 +26,10 @@ from .reals import (
     CertifiedReal,
     ConstantSpec,
     PrecisionBudget,
-    _cell_scale,
     escalate,
-    eval_constant,
-    exact_value,
     exp_certified,
     ln_certified,
+    residual,
 )
 
 _PLACES = 6
@@ -63,51 +61,6 @@ class MeasureRow(namedtuple("MeasureRow", "display_n p q mu lagrange")):
     __slots__ = ()
 
 
-def residual(alpha: ConstantSpec, conv: Convergent,
-             budget: PrecisionBudget) -> CertifiedReal:
-    """Enclosure of q*alpha - p with width <= q * 10^-digits.
-
-    Raises PrecisionError when the enclosure straddles zero (except for
-    the exact-zero residual of a rational constant).
-    """
-    enclosure = eval_constant(alpha, budget)
-    eps = enclosure * conv.q - conv.p
-    if eps.straddles_zero():
-        raise PrecisionError(
-            f"residual for {conv.p}/{conv.q} straddles zero at "
-            f"{budget.digits} digits"
-        )
-    return eps
-
-
-def _working_residual(alpha: ConstantSpec, conv: Convergent,
-                      budget: PrecisionBudget) -> tuple[CertifiedReal, PrecisionBudget]:
-    """eps to ``budget.working`` significant digits, and the budget its sines take.
-
-    Starts at the first escalation level that can hold them: for a
-    convergent |eps| < 1/q, and at a level whose cell of alpha is 10^-s
-    wide eps is q 10^-s wide, so a level with q^2 10^(working+1) >= 10^s
-    fails without forming eps.
-    """
-    irrational = exact_value(alpha) is None
-
-    def attempt(b: PrecisionBudget) -> CertifiedReal:
-        coarse = conv.q ** 2 >= 10 ** (_cell_scale(alpha, b) - budget.working - 1)
-        if irrational and coarse:
-            raise PrecisionError(f"residual for {conv.p}/{conv.q} cannot hold "
-                                 f"{budget.working} significant digits")
-        eps = residual(alpha, conv, b)
-        # width <= |eps| 10^-(working+1): below 10^-working of its leading digit
-        if not eps.relative_width_at_most(budget.working + 1):
-            raise PrecisionError(f"residual for {conv.p}/{conv.q} holds fewer "
-                                 f"than {budget.working} significant digits")
-        return eps
-
-    eps = escalate(attempt, budget)
-    lead = 0 if eps.is_zero() else max(0, -abs(eps).floor_log10()[0])
-    return eps, PrecisionBudget(budget.digits + lead, budget.guard, budget.cap)
-
-
 def mu_n(alpha: ConstantSpec, conv: Convergent,
          budget: PrecisionBudget) -> Decimal | None:
     """Certified -log|alpha - p/q| / log q, ceiled to six decimals.
@@ -120,7 +73,7 @@ def mu_n(alpha: ConstantSpec, conv: Convergent,
     """
     if conv.q == 1:
         return None
-    eps, _ = _working_residual(alpha, conv, budget)
+    eps = residual(alpha, conv, budget)
     if eps.is_zero():
         return None
 

@@ -15,16 +15,15 @@ from functools import partial
 
 from .convergents import Convergent
 from .errors import PrecisionError
-from .measure import _working_residual
 from .reals import (
     DEFAULT_BUDGET,
     CertifiedReal,
     ConstantSpec,
     PiPower,
     PrecisionBudget,
-    _floor_log10,
     escalate,
     pi_interval,
+    residual,
     sin_certified,
 )
 
@@ -52,11 +51,12 @@ def sine_probe(alpha: ConstantSpec, conv: Convergent,
     significant digits: the residual escalates until it holds them, and
     the sines take the budget shifted by the leading zeros of |eps|.
     """
-    eps, sine_budget = _working_residual(alpha, conv, budget)
+    eps = residual(alpha, conv, budget)
+    sine_budget = _sine_budget(eps, budget)
     abs_eps = abs(eps)
     direct = alpha == PI2
     # pi^3 * q needs log10(q) more digits of pi than pi * eps, and 2 for 3 pi^2
-    q_digits = _floor_log10(conv.q) + 1 if direct else 0
+    q_digits = CertifiedReal.point(conv.q).floor_log10()[0] + 1 if direct else 0
     pi = pi_interval(sine_budget.working + q_digits + 2)
     sin_reduced = abs(sin_certified(pi * eps, sine_budget))
     sin_unscaled = abs(sin_certified(eps, sine_budget))
@@ -72,6 +72,13 @@ def sine_probe(alpha: ConstantSpec, conv: Convergent,
                     sin_unscaled, envelope_ok=envelope)
 
 
+def _sine_budget(eps: CertifiedReal, budget: PrecisionBudget) -> PrecisionBudget:
+    """``budget`` with its digits raised by the leading zeros of |eps|, so
+    that a sine near eps holds ``budget.working`` significant digits."""
+    lead = 0 if eps.is_zero() else max(0, -abs(eps).floor_log10()[0])
+    return PrecisionBudget(budget.digits + lead, budget.guard, budget.cap)
+
+
 def envelope_check(z: CertifiedReal, budget: PrecisionBudget | None = None) -> bool:
     """Certify (2/pi)|z| <= |sin z| <= |z| over the enclosure.
 
@@ -85,9 +92,8 @@ def envelope_check(z: CertifiedReal, budget: PrecisionBudget | None = None) -> b
         return True
     if budget is None:
         # the input's own resolution: sine accepts no budget finer than it
-        width = z.width
-        budget = PrecisionBudget(
-            max(30, -_floor_log10(*width.as_integer_ratio()) - 2) if width else 30)
+        e = CertifiedReal.point(z.width).floor_log10()[0]
+        budget = PrecisionBudget(30 if e is None else max(30, -e - 2))
     scale = budget.working + 8
     pi = pi_interval(scale)
     abs_z = abs(z)
@@ -117,8 +123,9 @@ def bound_check(alpha: ConstantSpec, convs: list[Convergent],
 
     def attempt(cur: Convergent, nxt: Convergent,
                 b: PrecisionBudget) -> tuple[bool, bool, bool]:
-        eps, sine_budget = _working_residual(alpha, cur, b)
-        return (*_bound_flags(abs(eps), cur, nxt), envelope_check(eps, sine_budget))
+        eps = residual(alpha, cur, b)
+        return (*_bound_flags(abs(eps), cur, nxt),
+                envelope_check(eps, _sine_budget(eps, b)))
 
     return [escalate(partial(attempt, cur, nxt), budget)
             for cur, nxt in zip(convs, convs[1:])]

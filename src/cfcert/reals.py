@@ -45,7 +45,8 @@ class PrecisionBudget(namedtuple("PrecisionBudget", "digits guard cap")):
         if guard < 0:
             raise ValueError("guard must be >= 0")
         if cap < digits + guard:
-            raise ValueError("cap smaller than digits + guard")
+            raise ValueError(f"digits {digits} + guard {guard} exceed the "
+                             f"precision cap {cap}")
         return super().__new__(cls, digits, guard, cap)
 
     @property
@@ -96,10 +97,10 @@ class CertifiedReal:
     """Closed interval [lo, hi] guaranteed to contain the exact value.
 
     Integer numerators ``lo_num <= hi_num`` over one unnormalised ``den > 0``
-    (10^scale for kernel results and after :meth:`outward`, q for a point
-    p/q) carry all arithmetic, comparisons and the integer queries that
-    table rows use; ``lo``, ``hi``, ``width`` and ``midpoint`` are
-    lowest-terms Fraction views.  Immutable; equal by value.
+    (10^scale for kernel results, q for a point p/q) carry all arithmetic,
+    comparisons and the integer queries that table rows use; ``lo``,
+    ``hi``, ``width`` and ``midpoint`` are lowest-terms Fraction views.
+    Immutable; equal by value.
     """
 
     __slots__ = ("lo_num", "hi_num", "den")
@@ -262,15 +263,6 @@ class CertifiedReal:
 
     def __rtruediv__(self, other) -> "CertifiedReal":
         return _as_interval(other) * self.reciprocal()
-
-    def outward(self, scale: int) -> "CertifiedReal":
-        """Round endpoints onto the 10^-scale grid, away from the interior.
-
-        Keeps denominators bounded so long pipelines stay cheap; always a
-        superset of self.
-        """
-        d = 10 ** scale
-        return _iv(*_directed(self.lo_num * d, self.hi_num * d, self.den), d)
 
     def __repr__(self) -> str:
         return f"CertifiedReal({self.lo}, {self.hi})"
@@ -651,6 +643,33 @@ def _cell_scale(spec: ConstantSpec, budget: PrecisionBudget) -> int:
     """The scale s of the one-ulp cell, 10^-s wide, that ``eval_constant``
     returns for an irrational spec at ``budget``."""
     return budget.working + 8 + (abs(spec.t) if isinstance(spec, PiPower) else 0)
+
+
+def residual(alpha: ConstantSpec, conv, budget: PrecisionBudget) -> CertifiedReal:
+    """The residual eps = q alpha - p of a convergent ``conv`` (integers
+    ``p`` and ``q``) to ``budget.working`` significant digits, escalating
+    from ``budget``: width <= |eps| 10^-(working+1), below 10^-working of
+    its leading digit, which no enclosure straddling zero meets.
+
+    Starts at the first escalation level that can hold them: for a
+    convergent |eps| < 1/q, and at a level whose cell of alpha is 10^-s
+    wide eps is q 10^-s wide, so a level with q^2 10^(working+1) >= 10^s
+    fails without forming eps.
+    """
+    irrational = exact_value(alpha) is None
+
+    def attempt(b: PrecisionBudget) -> CertifiedReal:
+        coarse = conv.q ** 2 >= 10 ** (_cell_scale(alpha, b) - budget.working - 1)
+        if irrational and coarse:
+            raise PrecisionError(f"residual for {conv.p}/{conv.q} cannot hold "
+                                 f"{budget.working} significant digits")
+        eps = eval_constant(alpha, b) * conv.q - conv.p
+        if not eps.relative_width_at_most(budget.working + 1):
+            raise PrecisionError(f"residual for {conv.p}/{conv.q} holds fewer "
+                                 f"than {budget.working} significant digits")
+        return eps
+
+    return escalate(attempt, budget)
 
 
 def _spec_fx(spec: ConstantSpec, scale: int) -> tuple[int, int]:

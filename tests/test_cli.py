@@ -418,6 +418,13 @@ class TestExitCodes:
         code, _ = run_cli(command, "pi2", "--digits", "0")
         assert code == 2
 
+    def test_digits_past_the_cap_names_the_numbers(self, capsys):
+        # --digits 1000000 plus the 10 guard digits pass the 10^6-digit cap
+        code, out = run_cli("measure", "pi2", "--rows", "3", "--digits", "1000000")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == ("usage error: digits 1000000 + guard 10 "
+                                           "exceed the precision cap 1000000\n")
+
     def test_missing_subcommand(self):
         code, _ = run_cli()
         assert code == 2

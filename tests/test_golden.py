@@ -70,6 +70,17 @@ GOLDEN = {
         (0, "599d94018628614958c62678fe97c0aa7ed2322d49cd9fc077d52bdd863c4946"),
     "expand surd:1,2,69,5 --terms 500":
         (0, "c4c0fd02646e1afb175bc468a65e8428b3a0690b7ee65fbe7b9d6373f746b68c"),
+    # perfbench's deep expand shapes: a root of pi and a surd, both through
+    # Euclid on one enclosure
+    "expand pi^5/3 --terms 1040":
+        (0, "b09be35910e43fdc9df6a4950e877454682dd0ed0fa9b9f2c81e40124ec78735"),
+    "expand sqrt:199 --terms 1040":
+        (0, "785a0eddbc226888a2075e7567693b340eaffcc1113cd28e580902d08cf4b5ac"),
+    "expand pi2 --terms 6000":
+        (0, "5aba3705d03885ec8ca02ea7bf32bf9ef20edda07560fabf8a1111bf8e73d59f"),
+    # a cell scale past the cap at every level: exit 1, nothing printed
+    "expand pi^1000000 --terms 3":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "convergents pi^-2/3 --terms 120 --format csv":
         (0, "cb682cbb25141890c2b7ea8e8015f7955db9036f7b5899923572884fb8e66360"),
     "convergents golden --terms 3000 --engine fast":

@@ -9,8 +9,12 @@
   and ``floor_log10``), and other code may read its Fraction views.
 - Every absolute import in the package names a standard-library module:
   the runtime has no dependencies, and mpmath stays a test-only oracle.
-- ``cli.py`` imports no underscore-prefixed name from the package, so
-  every command runs the public function that the tests cover.
+- No module imports an underscore-prefixed name from another module of
+  the package, so every command runs the public function that the tests
+  cover, and what a module keeps private (such as the decimal grid of
+  ``reals.py``) is known to it alone.
+- ``probe.py`` imports nothing from ``measure.py``: both table modules
+  build on ``reals`` and ``convergents`` alone.
 - ``import cfcert.cli`` loads none of the standard-library modules that
   no command needs, so every command starts without paying for them, and
   a command that prints no help loads no ``shutil``.
@@ -24,7 +28,6 @@ from pathlib import Path
 import pytest
 
 import cfcert
-import cfcert.cli as cli
 
 PACKAGE = sorted(Path(cfcert.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
@@ -82,6 +85,15 @@ def private_package_imports(source: str) -> list[str]:
                   for alias in node.names if alias.name.startswith("_"))
 
 
+def package_modules_imported(source: str) -> set[str]:
+    """The package modules that the source imports from, by ``from .``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+    return found
+
+
 def loaded_after(statement: str, names: tuple[str, ...]) -> list[str]:
     """Those of ``names`` that a fresh interpreter has loaded after it ran
     ``statement`` with cfcert importable."""
@@ -133,8 +145,15 @@ def test_integer_fields_read_only_in_reals(path):
     assert integer_field_reads(path.read_text()) == []
 
 
-def test_cli_imports_no_private_name():
-    assert private_package_imports(Path(cli.__file__).read_text()) == []
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_imports_no_private_name(path):
+    assert private_package_imports(path.read_text()) == []
+
+
+def test_probe_imports_nothing_from_measure():
+    source = Path(cfcert.__file__).with_name("probe.py").read_text()
+    assert "measure" not in package_modules_imported(source)
+    assert "reals" in package_modules_imported(source)
 
 
 def test_detects_a_private_package_import():
@@ -143,6 +162,13 @@ def test_detects_a_private_package_import():
               "from os import _exit\n")
     assert private_package_imports(source) == ["_floor_log10 (line 2)",
                                                "_mu_rows (line 1)"]
+
+
+def test_detects_the_package_modules_imported():
+    source = ("from .measure import mu_n\n"
+              "from . import probe, reals\n"
+              "from os import path\n")
+    assert package_modules_imported(source) == {"measure", "probe", "reals"}
 
 
 def test_detects_an_unused_import():

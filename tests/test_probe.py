@@ -23,7 +23,8 @@ from cfcert import (
     residual,
     sine_probe,
 )
-from cfcert.probe import _bound_flags
+from cfcert.probe import _bound_flags, _sine_budget
+from cfcert.reals import _floor_log10
 
 PI2 = PiPower(2, 1)
 
@@ -65,9 +66,28 @@ class TestResidual:
         assert eps.width <= Fraction(conv.q, 10 ** 40)
 
     def test_straddle_raises(self):
+        # at 10 digits eps straddles zero, and the cap stops the ladder there
         conv = Convergent(29, 63780609438742, 6462326841763)
         with pytest.raises(PrecisionError):
-            residual(PI2, conv, PrecisionBudget(10, guard=0))
+            residual(PI2, conv, PrecisionBudget(10, guard=0, cap=10))
+
+    @pytest.mark.parametrize("alpha", [PI2, PiPower(-2, 3), Surd(0, 1, 199, 1)],
+                             ids=["pi2", "pi^-2/3", "sqrt:199"])
+    def test_sine_budget_adds_the_leading_zeros(self, alpha):
+        convs = list(convergents_iter(expand(alpha, 200, PrecisionBudget(60)), 199))
+        for budget in (PrecisionBudget(1), PrecisionBudget(60)):
+            for conv in convs:
+                eps = residual(alpha, conv, budget)
+                # |eps| < 1/q, so its first significant digit is at least
+                # floor(log10 q) places after the point
+                lead = max(0, -_floor_log10(*abs(eps).lo.as_integer_ratio()))
+                assert lead >= _floor_log10(conv.q)
+                assert _sine_budget(eps, budget) == PrecisionBudget(
+                    budget.digits + lead, budget.guard, budget.cap)
+
+    def test_sine_budget_of_an_exact_zero(self):
+        eps = residual(DecimalLiteral("0.5"), Convergent(1, 1, 2), PrecisionBudget(20))
+        assert _sine_budget(eps, PrecisionBudget(20)) == PrecisionBudget(20)
 
 
 class TestSineProbe:

@@ -437,12 +437,6 @@ class TestIntervalArithmetic:
         with pytest.raises(ZeroDivisionError):
             CertifiedReal(Fraction(-1), Fraction(1)).reciprocal()
 
-    def test_outward_rounding_contains(self):
-        x = CertifiedReal(Fraction(1, 3), Fraction(2, 3))
-        r = x.outward(5)
-        assert r.contains_interval(x)
-        assert r.lo.denominator <= 10 ** 5 and r.hi.denominator <= 10 ** 5
-
 
 class TestEscalate:
     def test_returns_first_success(self):
@@ -635,8 +629,8 @@ class TestIntegerForm:
     """CertifiedReal on integer numerators against the Fraction formulas."""
 
     @settings(max_examples=200, deadline=None)
-    @given(intervals(), intervals(), small_fractions, st.integers(0, 12))
-    def test_arithmetic_matches_fraction_formulas(self, x, y, c, scale):
+    @given(intervals(), intervals(), small_fractions)
+    def test_arithmetic_matches_fraction_formulas(self, x, y, c):
         for op, ref in REF_BINARY.items():
             same_or_both_raise(lambda: ends(op(x, y)), lambda: ref(ends(x), ends(y)))
             # a rational operand is its point, on either side
@@ -645,10 +639,6 @@ class TestIntegerForm:
         assert ends(-x) == (-x.hi, -x.lo)
         assert ends(abs(x)) == ref_abs(ends(x))
         same_or_both_raise(lambda: ends(x.reciprocal()), lambda: ref_reciprocal(ends(x)))
-        d = 10 ** scale
-        rounded = x.outward(scale)
-        assert ends(rounded) == (Fraction(floor(x.lo * d), d), Fraction(ceil(x.hi * d), d))
-        assert rounded.den == d
 
     @settings(max_examples=200, deadline=None)
     @given(intervals(), intervals(), small_fractions)

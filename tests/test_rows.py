@@ -177,14 +177,13 @@ class TestIntegerQueries:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_residual_digits_and_leading_zeros(self, data):
+        # an eps straddling zero has abs(eps).lo = 0 and fails the test too
         eps = data.draw(intervals())
-        if eps.straddles_zero():  # ``residual`` never returns one
-            return
         n = data.draw(st.integers(0, 40))
         assert (not eps.relative_width_at_most(n)) == ref_too_few_digits(eps, n)
         if not ref_too_few_digits(eps, n):  # the leading zeros of a kept eps
-            lead = 0 if eps.is_zero() else max(0, -abs(eps).floor_log10()[0])
-            assert lead == ref_lead(eps)
+            budget = PrecisionBudget(n + 1)
+            assert probe._sine_budget(eps, budget).digits == n + 1 + ref_lead(eps)
 
     @settings(max_examples=300, deadline=None)
     @given(intervals())
@@ -245,8 +244,7 @@ def test_mu_width_of_half_an_ulp_is_undecided(monkeypatch, below, expected):
     conv = Convergent(3, 1, 7)
     ln_eps = CertifiedReal(Fraction(-10_000_006, 10 ** 7) + below,
                            Fraction(-10_000_001, 10 ** 7))
-    monkeypatch.setattr(measure, "_working_residual",
-                        lambda *_: (CertifiedReal.point(1), None))
+    monkeypatch.setattr(measure, "residual", lambda *_: CertifiedReal.point(1))
     monkeypatch.setattr(measure, "ln_certified", lambda x, scale: (
         CertifiedReal.point(1) if x == CertifiedReal.point(conv.q) else ln_eps))
     mu = outcome(measure.mu_n, PiPower(2, 1), conv, PrecisionBudget(5))
@@ -290,7 +288,8 @@ class TestEnvelopeDomain:
         conv = Convergent(3, 1, 5)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(probe, "_working_residual", lambda *_: (eps, budget))
+            mp.setattr(probe, "residual", lambda *_: eps)
+            mp.setattr(probe, "_sine_budget", lambda *_: budget)
             mp.setattr(probe, "sin_certified", lambda x, b: x)
             mp.setattr(probe, "_envelope_holds", lambda *_: True)
             row = probe.sine_probe(PiPower(3, 4), conv, budget)
