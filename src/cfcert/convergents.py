@@ -106,11 +106,17 @@ def _mul4(x: tuple[int, int, int, int], y: tuple[int, int, int, int],
 
 
 def _terms_of(quotients, upto: int) -> Sequence[int]:
+    """The quotients as a list, checked as a simple continued fraction
+    through index ``upto``: a_0 is any integer, a_1..a_upto are >= 1."""
     if upto < 0:
         raise IndexError(f"index {upto} is negative")
     terms = list(quotients)
     if upto >= len(terms):
         raise IndexError(f"index {upto} beyond {len(terms)} quotients")
+    if upto and min(islice(terms, 1, upto + 1)) < 1:
+        k = next(k for k in range(1, upto + 1) if terms[k] < 1)
+        raise ValueError(f"quotient {k} is {terms[k]}; quotients after "
+                         f"a_0 must be >= 1")
     return terms
 
 
@@ -118,7 +124,10 @@ def _recurrence_pairs(terms: Sequence[int], upto: int,
                       counter: WorkCounter | None) -> Iterator[tuple[int, int]]:
     """(p_n, q_n) for n = 0..upto by the two-term recurrence.
 
-    Seeds p_-2=0, p_-1=1, q_-2=1, q_-1=0.
+    Seeds p_-2=0, p_-1=1, q_-2=1, q_-1=0.  A unit quotient (about 41 %
+    of a Gauss-Kuzmin stream) takes two additions and no product; the
+    counter records its two products all the same, so the work tally
+    does not depend on how a step is carried out.
     """
     p_prev2, p_prev1 = 0, 1
     q_prev2, q_prev1 = 1, 0
@@ -127,8 +136,12 @@ def _recurrence_pairs(terms: Sequence[int], upto: int,
         if counter is not None:
             counter.record(a, p_prev1)
             counter.record(a, q_prev1)
-        p_prev2, p_prev1 = p_prev1, a * p_prev1 + p_prev2
-        q_prev2, q_prev1 = q_prev1, a * q_prev1 + q_prev2
+        if a == 1:
+            p_prev2, p_prev1 = p_prev1, p_prev1 + p_prev2
+            q_prev2, q_prev1 = q_prev1, q_prev1 + q_prev2
+        else:
+            p_prev2, p_prev1 = p_prev1, a * p_prev1 + p_prev2
+            q_prev2, q_prev1 = q_prev1, a * q_prev1 + q_prev2
         yield p_prev1, q_prev1
 
 
@@ -228,7 +241,11 @@ def check_determinant(seq: Sequence[Convergent]) -> bool:
 def telescoping_sums(quotients, upto: int) -> Iterator[tuple[int, int]]:
     """a_0 + sum_{0<=k<n} (-1)^k / (q_k * q_k+1) as (N_n, q_n) for n = 0..upto,
     by N_k+1 = (N_k * q_k+1 + (-1)^k) / q_k: exact, as N_k = p_k and
-    p_k+1 * q_k - p_k * q_k+1 = (-1)^k for any integer quotients; no gcd."""
+    p_k+1 * q_k - p_k * q_k+1 = (-1)^k for any integer quotients; no gcd.
+
+    Every prefix costs a division of an n-digit numerator, so the stream
+    grows faster than n^2; ``telescoping_sum`` splits the single sum.
+    """
     terms = _terms_of(quotients, upto)
     total, q_prev, sign = terms[0], 1, 1  # q_0 = 1
     yield total, q_prev
@@ -239,10 +256,32 @@ def telescoping_sums(quotients, upto: int) -> Iterator[tuple[int, int]]:
 
 
 def telescoping_sum(quotients, n: int) -> Fraction:
-    """a_0 + sum_{0<=k<n} (-1)^k / (q_k * q_k+1), exactly p_n/q_n."""
-    for last in telescoping_sums(quotients, n):
-        pass  # keep only the last sum
-    return Fraction(*last)
+    """a_0 + sum_{0<=k<n} (-1)^k / (q_k * q_k+1), exactly p_n/q_n.
+
+    The sum is split in balanced halves (binary splitting of a rational
+    series).  Segment [l, r) carries the integer
+    D(l, r) = q_l * q_r * sum_{l<=k<r} (-1)^k / (q_k * q_k+1), so
+    D(k, k+1) = (-1)^k and two halves join as
+    D(l, r) = (D(l, m) * q_r + D(m, r) * q_l) / q_m, a division that is
+    exact because D(l, r) = p_r * q_l - p_l * q_r.  The in-order
+    recursion takes (q_l-1, q_l) and returns (q_r-1, q_r), advancing the
+    q recurrence as it goes, so no list of q is kept.  The sum is
+    (a_0 * q_n + D(0, n)) / q_n.
+    """
+    terms = _terms_of(quotients, n)
+
+    def split(lo: int, hi: int, q_before: int, q_lo: int):
+        if hi - lo == 1:
+            return (-1 if lo & 1 else 1), q_lo, terms[hi] * q_lo + q_before
+        mid = (lo + hi) // 2
+        left, q_before, q_mid = split(lo, mid, q_before, q_lo)
+        right, q_before, q_hi = split(mid, hi, q_before, q_mid)
+        return (left * q_hi + right * q_lo) // q_mid, q_before, q_hi
+
+    if n == 0:
+        return Fraction(terms[0])
+    total, _, q_n = split(0, n, 0, 1)  # q_-1 = 0, q_0 = 1
+    return Fraction(terms[0] * q_n + total, q_n)
 
 
 def fib_power(n: int) -> Mat2:

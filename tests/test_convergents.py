@@ -194,6 +194,19 @@ class TestWorkCounters:
         for counter in (final, listed):
             assert (counter.bits, counter.multiplications) == (pinned, 8 * len(terms))
 
+    @pytest.mark.parametrize("terms, pinned", [
+        (gauss_kuzmin_like(3_000, seed=3), 13_366_143),
+        ([1] * 3_000, 6_250_216),
+    ], ids=["gauss-kuzmin", "ones"])
+    def test_recurrence_records_two_products_per_quotient(self, terms, pinned):
+        # a unit quotient takes no product but is still counted as two
+        n = len(terms) - 1
+        final, listed = WorkCounter(), WorkCounter()
+        final_convergent(terms, n, "iter", final)
+        convergents_iter(terms, n, listed)
+        for counter in (final, listed):
+            assert (counter.bits, counter.multiplications) == (pinned, 2 * len(terms))
+
     def test_mat2_mul_records_eight_products(self):
         x, y = Mat2(3, 5, 7, 11), Mat2(13, 17, 19, 23)
         counter = WorkCounter()
@@ -235,6 +248,35 @@ class TestNegativeIndex:
     def test_every_engine_rejects_it(self, call):
         with pytest.raises(IndexError, match=r"index -\d+ is negative"):
             call([9, 1, 6])
+
+
+class TestInvalidQuotients:
+    @pytest.mark.parametrize("call", [
+        lambda t: convergents_iter(t, len(t) - 1),
+        lambda t: convergents_matrix(t, len(t) - 1),
+        lambda t: convergents_fast(t, len(t) - 1),
+        lambda t: final_convergent(t, len(t) - 1, "iter"),
+        lambda t: final_convergent(t, len(t) - 1, "matrix"),
+        lambda t: final_convergent(t, len(t) - 1, "fast"),
+        lambda t: telescoping_sum(t, len(t) - 1),
+        lambda t: list(telescoping_sums(t, len(t) - 1)),
+    ], ids=["iter", "matrix", "fast", "final-iter", "final-matrix",
+            "final-fast", "telescoping", "telescoping-sums"])
+    @pytest.mark.parametrize("terms, index, value", [
+        ([1, 0, 2], 1, 0),
+        ([1, -1, 2], 1, -1),
+        ([0, 0], 1, 0),
+        ([3, 1, 2, 0], 3, 0),
+    ])
+    def test_every_engine_rejects_a_quotient_below_one(self, call, terms,
+                                                      index, value):
+        with pytest.raises(ValueError, match=rf"^quotient {index} is {value};"):
+            call(terms)
+
+    def test_only_the_used_prefix_is_checked(self):
+        assert convergents_iter([1, 2, 0], 1)[-1] == Convergent(1, 3, 2)
+        assert telescoping_sum([-4, 0], 0) == -4
+        assert list(telescoping_sums([0, 1, 0], 1)) == [(0, 1), (1, 1)]
 
 
 class TestFinalConvergent:
@@ -314,6 +356,23 @@ class TestIdentities:
         assert len(sums) == 301
         for n, (pair, c) in enumerate(zip(sums, convs)):
             assert Fraction(*pair) == telescoping_sum(terms, n) == Fraction(c.p, c.q)
+
+    @pytest.mark.parametrize("n", sorted({1, 2, 3, 5, 7, 9, 15, 17, 31, 33,
+                                          63, 65, 127, 129, 255, 257}))
+    def test_split_at_odd_boundaries(self, n):
+        # n = 1, 2, 3 and 2^k +- 1 leave unbalanced halves at every level
+        for terms in (gauss_kuzmin_like(n + 1, seed=n), [1] * (n + 1),
+                      [-7] + gauss_kuzmin_like(n, seed=n)):
+            assert telescoping_sum(terms, n) == fold_rational(terms)
+
+    @pytest.mark.parametrize("terms", [
+        gauss_kuzmin_like(40_001, seed=13),
+        [1] * 40_001,
+    ], ids=["gauss-kuzmin", "ones"])
+    def test_sum_at_depth_equals_the_tree(self, terms):
+        total = telescoping_sum(terms, 40_000)
+        fast = convergents_fast(terms, 40_000)
+        assert (total.numerator, total.denominator) == (fast.p, fast.q)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(), st.lists(st.integers(min_value=1), max_size=40))
