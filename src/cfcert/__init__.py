@@ -21,7 +21,6 @@ from .convergents import (
     telescoping_sum,
     telescoping_sums,
 )
-from .errors import PrecisionError
 from .measure import MeasureRow, lagrange, measure_table, mu_n, mu_table
 from .probe import ProbeRow, bound_check, envelope_check, probe_table, sine_probe
 from .reals import (
@@ -30,6 +29,7 @@ from .reals import (
     DecimalLiteral,
     PiPower,
     PrecisionBudget,
+    PrecisionError,
     Surd,
     eval_constant,
     exp_certified,

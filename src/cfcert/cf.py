@@ -12,13 +12,13 @@ from collections.abc import Iterator
 from itertools import islice
 from math import isqrt
 
-from .errors import PrecisionError
 from .reals import (
     DEFAULT_BUDGET,
     DEFAULT_PRECISION_CAP,
     CertifiedReal,
     ConstantSpec,
     PrecisionBudget,
+    PrecisionError,
     Surd,
     escalate,
     eval_constant,
@@ -118,13 +118,6 @@ def _shared_prefix(x: CertifiedReal, max_terms: int) -> list[int]:
     return prefix
 
 
-def _certified_prefix(spec: ConstantSpec, want_terms: int,
-                      budget: PrecisionBudget) -> list[int]:
-    """Shared prefix of ``eval_constant``'s one enclosure at this budget,
-    a one-ulp cell fixed by (spec, budget) alone."""
-    return _shared_prefix(eval_constant(spec, budget), want_terms)
-
-
 def expand(spec: ConstantSpec, want_terms: int,
            budget: PrecisionBudget = DEFAULT_BUDGET) -> PartialQuotients:
     """At least ``want_terms`` certified quotients, escalating from ``budget``.
@@ -146,7 +139,8 @@ def expand(spec: ConstantSpec, want_terms: int,
     def attempt(b: PrecisionBudget) -> PartialQuotients:
         nonlocal best
         try:
-            best = max(best, _certified_prefix(spec, want_terms, b), key=len)
+            best = max(best, _shared_prefix(eval_constant(spec, b), want_terms),
+                       key=len)
         except PrecisionError:
             pass  # over the cap: report the prefix certified so far
         if len(best) < want_terms:

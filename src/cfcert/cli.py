@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 from functools import partial
@@ -23,14 +24,14 @@ from .convergents import (
     final_convergent,
     telescoping_sums,
 )
-from .errors import PrecisionError
 from .measure import measure_table, mu_table
 from .probe import PI2, bound_check, probe_table
 from .reals import (DEFAULT_BUDGET, ConstantSpec, DecimalLiteral, PiPower,
-                    PrecisionBudget, Surd)
+                    PrecisionBudget, PrecisionError, Surd)
 
 _ENGINES = ("iter", "matrix", "fast")
 _BENCH_SIZES = (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5)
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_constant(token: str) -> ConstantSpec:
@@ -44,20 +45,25 @@ def parse_constant(token: str) -> ConstantSpec:
     if token == "golden":
         return Surd(1, 1, 5, 2)
     if token.startswith("pi^"):
-        body = token[3:]
-        t, _, s = body.partition("/")
-        return PiPower(int(t), int(s) if s else 1)
+        return PiPower(*_integers(token, *token[3:].split("/", 1)))
     if token.startswith("sqrt:"):
-        return Surd(0, 1, int(token[5:]), 1)
+        return Surd(0, 1, *_integers(token, token[5:]), 1)
     if token.startswith("surd:"):
         parts = token[5:].split(",")
         if len(parts) != 4:
             raise ValueError("surd takes four integers: surd:a,b,d,c")
-        a, b, d, c = (int(x) for x in parts)
-        return Surd(a, b, d, c)
+        return Surd(*_integers(token, *parts))
     if token.startswith("lit:"):
         return DecimalLiteral(token[4:])
     raise ValueError(f"unknown constant {token!r}")
+
+
+def _integers(token: str, *fields: str) -> list[int]:
+    """The integer fields of a constant token: ASCII digits, optional sign."""
+    for field in fields:
+        if not _INTEGER.fullmatch(field):
+            raise ValueError(f"constant {token!r}: {field!r} is not an integer")
+    return [int(field) for field in fields]
 
 
 def _print(out, line: str = "") -> None:

@@ -107,12 +107,15 @@ def _mul4(x: tuple[int, int, int, int], y: tuple[int, int, int, int],
 
 def _terms_of(quotients, upto: int) -> Sequence[int]:
     """The quotients as a list, checked as a simple continued fraction
-    through index ``upto``: a_0 is any integer, a_1..a_upto are >= 1."""
+    through index ``upto``: a_0..a_upto are ints, a_1..a_upto are >= 1."""
     if upto < 0:
         raise IndexError(f"index {upto} is negative")
     terms = list(quotients)
     if upto >= len(terms):
         raise IndexError(f"index {upto} beyond {len(terms)} quotients")
+    if {*map(type, terms[:upto + 1])} != {int}:
+        k = next(k for k in range(upto + 1) if type(terms[k]) is not int)
+        raise TypeError(f"quotient {k} is {terms[k]!r}; quotients must be ints")
     if upto and min(islice(terms, 1, upto + 1)) < 1:
         k = next(k for k in range(1, upto + 1) if terms[k] < 1)
         raise ValueError(f"quotient {k} is {terms[k]}; quotients after "

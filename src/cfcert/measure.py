@@ -14,18 +14,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 from decimal import Decimal
-from fractions import Fraction
 from functools import partial
 from math import gcd
 
 from .cf import expand
 from .convergents import Convergent, convergents_iter
-from .errors import PrecisionError
 from .reals import (
     DEFAULT_BUDGET,
     CertifiedReal,
     ConstantSpec,
     PrecisionBudget,
+    PrecisionError,
     escalate,
     exp_certified,
     ln_certified,
@@ -103,22 +102,19 @@ def mu_n(alpha: ConstantSpec, conv: Convergent,
 def lagrange(q: int, mu) -> Decimal:
     """q^(mu - 2) at six decimals (half-even); exactly 1.000000 for q = 1.
 
-    ln q and exp start where mu's logs do and double: 11, 22, ..., 5632 digits.
+    ``mu`` is read exactly, as :meth:`CertifiedReal.point` reads every
+    exact input, so a float is refused.  ln q and exp start where mu's
+    logs do and double: 11, 22, ..., 5632 digits.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
+    exponent = CertifiedReal.point(mu) - 2
     if q == 1:
         return _as_decimal(_SCALE)
-    # mu exactly as num/den: a finite Decimal, such as mu_n's six-decimal
-    # column, gives its own ratio, and any other value is read from its text
-    if isinstance(mu, Decimal) and mu.is_finite():
-        num, den = mu.as_integer_ratio()
-    else:
-        num, den = Fraction(str(mu)).as_integer_ratio()
 
     def attempt(b: PrecisionBudget) -> Decimal:
         lnq = ln_certified(CertifiedReal.point(q), b.working)
-        value = exp_certified(lnq * (num - 2 * den) / den, b.working)
+        value = exp_certified(lnq * exponent, b.working)
         lo, hi = value.scaled(_PLACES, "half_even")
         if lo != hi:
             raise PrecisionError("lagrange value sits on a rounding boundary")

@@ -14,13 +14,13 @@ from collections import namedtuple
 from functools import partial
 
 from .convergents import Convergent
-from .errors import PrecisionError
 from .reals import (
     DEFAULT_BUDGET,
     CertifiedReal,
     ConstantSpec,
     PiPower,
     PrecisionBudget,
+    PrecisionError,
     escalate,
     pi_interval,
     residual,

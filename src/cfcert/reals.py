@@ -13,20 +13,31 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Callable, Iterator
+from decimal import Decimal
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, log
 
-from .errors import PrecisionError
-
 DEFAULT_PRECISION_CAP = 1_000_000
 
-_DECIMAL_RE = re.compile(r"^[+-]?\d+(\.\d+)?$")
+_DECIMAL_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
 
 
 # ---------------------------------------------------------------------------
 # precision budget
 # ---------------------------------------------------------------------------
+
+class PrecisionError(ArithmeticError):
+    """Raised when a result cannot be certified at the requested precision.
+
+    Carries ``certified_count`` when a continued-fraction expansion managed
+    to certify a prefix before hitting the working-precision cap.
+    """
+
+    def __init__(self, message: str, certified_count: int | None = None):
+        super().__init__(message)
+        self.certified_count = certified_count
+
 
 class PrecisionBudget(namedtuple("PrecisionBudget", "digits guard cap")):
     """Requested certified decimal digits plus guard digits for headroom.
@@ -40,6 +51,10 @@ class PrecisionBudget(namedtuple("PrecisionBudget", "digits guard cap")):
     __slots__ = ()
 
     def __new__(cls, digits: int, guard: int = 10, cap: int = DEFAULT_PRECISION_CAP):
+        if not type(digits) is type(guard) is type(cap) is int:
+            name, value = next((n, v) for n, v in zip(cls._fields, (digits, guard, cap))
+                               if type(v) is not int)
+            raise TypeError(f"{name} must be an int, not {value!r}")
         if digits < 1:
             raise ValueError("digits must be >= 1")
         if guard < 0:
@@ -116,12 +131,10 @@ class CertifiedReal:
                             "Decimal or decimal string")
         if type(value) is int:
             return _iv(value, value, 1)
-        v = Fraction(value)
-        return _iv(v.numerator, v.numerator, v.denominator)
-
-    @classmethod
-    def from_fixed(cls, lo: int, hi: int, scale: int) -> "CertifiedReal":
-        return _iv(lo, hi, 10 ** scale)
+        # a Decimal, such as a table row's mu, gives its ratio with no Fraction built
+        num, den = (value if isinstance(value, Decimal)
+                    else Fraction(value)).as_integer_ratio()
+        return _iv(num, num, den)
 
     def __setattr__(self, name, value=None):  # value=None: refuses del too
         from dataclasses import FrozenInstanceError  # loaded on this path alone
@@ -350,7 +363,7 @@ class DecimalLiteral(namedtuple("DecimalLiteral", "text")):
     __slots__ = ()
 
     def __new__(cls, text: str):
-        if not _DECIMAL_RE.match(text):
+        if not _DECIMAL_RE.fullmatch(text):
             raise ValueError(f"not a finite decimal literal: {text!r}")
         return super().__new__(cls, text)
 
@@ -615,7 +628,7 @@ def _root_point_fx(x: tuple[int, int], scale: int, k: int) -> tuple[int, int]:
 
 def pi_interval(scale: int) -> CertifiedReal:
     """The one-ulp cell [f, f + 1] 10^-scale holding pi, f = floor(pi 10^scale)."""
-    return CertifiedReal.from_fixed(*_cell(scale, _pi_fx), scale)
+    return _iv(*_cell(scale, _pi_fx), 10 ** scale)
 
 
 def eval_constant(spec: ConstantSpec, budget: PrecisionBudget) -> CertifiedReal:
@@ -636,7 +649,7 @@ def eval_constant(spec: ConstantSpec, budget: PrecisionBudget) -> CertifiedReal:
             f"cannot evaluate {spec.describe()} to {budget.digits} digits "
             f"within precision cap {budget.cap}"
         )
-    return CertifiedReal.from_fixed(*_cell(scale, _spec_fx, spec), scale)
+    return _iv(*_cell(scale, _spec_fx, spec), 10 ** scale)
 
 
 def _cell_scale(spec: ConstantSpec, budget: PrecisionBudget) -> int:
@@ -681,11 +694,11 @@ def _spec_fx(spec: ConstantSpec, scale: int) -> tuple[int, int]:
         # positive base: endpoint powers and roots are directed automatically
         lo, _ = _root_point_fx((pi.lo_num ** t, pi.den ** t), scale, spec.s)
         _, hi = _root_point_fx((pi.hi_num ** t, pi.den ** t), scale, spec.s)
-        x = CertifiedReal.from_fixed(lo, hi, scale)
+        x = _iv(lo, hi, 10 ** scale)
         if spec.t < 0:
             x = x.reciprocal()
     elif isinstance(spec, Surd):
-        rt = CertifiedReal.from_fixed(*_root_point_fx((spec.d, 1), scale, 2), scale)
+        rt = _iv(*_root_point_fx((spec.d, 1), scale, 2), 10 ** scale)
         x = (rt * spec.b + spec.a) / spec.c
     else:
         raise TypeError(f"unsupported constant spec: {spec!r}")

@@ -387,6 +387,35 @@ class TestExitCodes:
         assert code == 2
         assert reason in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token, message", [
+        ("pi^2_0/3", "constant 'pi^2_0/3': '2_0' is not an integer"),
+        ("sqrt:1_000_003", "constant 'sqrt:1_000_003': '1_000_003' is not an integer"),
+        ("pi^٢", "constant 'pi^٢': '٢' is not an integer"),
+        ("surd:1,1,5,２", "constant 'surd:1,1,5,２': '２' is not an integer"),
+        ("pi^ 2", "constant 'pi^ 2': ' 2' is not an integer"),
+        ("pi^2/", "constant 'pi^2/': '' is not an integer"),
+        ("pi^x", "constant 'pi^x': 'x' is not an integer"),
+        ("lit:٠.٥", "not a finite decimal literal: '٠.٥'"),
+        ("lit:0.5\n", "not a finite decimal literal: '0.5\\n'"),
+    ], ids=["underscore", "underscores", "arabic-indic", "fullwidth", "space",
+            "empty-root", "letter", "lit-arabic-indic", "lit-newline"])
+    def test_malformed_constant_token(self, capsys, token, message):
+        # integers are ASCII digits with an optional sign, as full matches
+        code, out = run_cli("expand", token, "--terms", "3")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize("token, code, out, err", [
+        ("lit:0.25", 0, "0 4\n", ""),
+        ("pi^-2/3", 0, "0 2 6\n", ""),
+        ("pi^+2", 0, "9 1 6\n", ""),
+        ("sqrt:-3", 2, "", "usage error: surd discriminant -3 is negative "
+                           "(value is not real)\n"),
+    ])
+    def test_well_formed_tokens_as_before(self, capsys, token, code, out, err):
+        assert run_cli("expand", token, "--terms", "3") == (code, out)
+        assert capsys.readouterr().err == err
+
     def test_bad_flag(self):
         code, _ = run_cli("expand", "pi2", "--engine", "warp")
         assert code == 2

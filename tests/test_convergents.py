@@ -1,6 +1,7 @@
 """Engine tests: recurrence, matrix product, product tree, identities."""
 
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -251,7 +252,7 @@ class TestNegativeIndex:
 
 
 class TestInvalidQuotients:
-    @pytest.mark.parametrize("call", [
+    every_entry_point = pytest.mark.parametrize("call", [
         lambda t: convergents_iter(t, len(t) - 1),
         lambda t: convergents_matrix(t, len(t) - 1),
         lambda t: convergents_fast(t, len(t) - 1),
@@ -262,6 +263,8 @@ class TestInvalidQuotients:
         lambda t: list(telescoping_sums(t, len(t) - 1)),
     ], ids=["iter", "matrix", "fast", "final-iter", "final-matrix",
             "final-fast", "telescoping", "telescoping-sums"])
+
+    @every_entry_point
     @pytest.mark.parametrize("terms, index, value", [
         ([1, 0, 2], 1, 0),
         ([1, -1, 2], 1, -1),
@@ -273,9 +276,25 @@ class TestInvalidQuotients:
         with pytest.raises(ValueError, match=rf"^quotient {index} is {value};"):
             call(terms)
 
+    @every_entry_point
+    @pytest.mark.parametrize("terms, index, value", [
+        ([1, 2.5, 3], 1, 2.5),
+        ([1.0, 2], 0, 1.0),
+        ([1, 2, Fraction(5, 2)], 2, Fraction(5, 2)),
+        ([1, "2"], 1, "2"),
+        ([1, True], 1, True),
+    ], ids=["float", "float-a0", "fraction", "str", "bool"])
+    def test_every_engine_rejects_a_quotient_that_is_not_an_int(self, call, terms,
+                                                                index, value):
+        message = rf"^quotient {index} is {re.escape(repr(value))}; quotients must be ints$"
+        with pytest.raises(TypeError, match=message):
+            call(terms)
+
     def test_only_the_used_prefix_is_checked(self):
         assert convergents_iter([1, 2, 0], 1)[-1] == Convergent(1, 3, 2)
+        assert convergents_iter([1, 2, 2.5], 1)[-1] == Convergent(1, 3, 2)
         assert telescoping_sum([-4, 0], 0) == -4
+        assert telescoping_sum([-4, 0.5], 0) == -4
         assert list(telescoping_sums([0, 1, 0], 1)) == [(0, 1), (1, 1)]
 
 

@@ -78,3 +78,18 @@ def test_square_of_sin_pi_quarter_contains_one_half():
     square = x * x
     assert square.contains(Fraction(1, 2))
     assert square.compare_width(1, 10 ** 2000) <= 0
+
+
+def tanh_pattern(m: int, terms: int) -> list[int]:
+    """tanh(1/m) = [0; m, 3m, 5m, ...] for m >= 1 (Lambert), cut to
+    ``terms`` quotients."""
+    return [0] + [(2 * k + 1) * m for k in range(terms - 1)]
+
+
+@pytest.mark.parametrize("m, least", [(1, 400), (2, 360), (3, 340), (7, 305), (10, 295)])
+def test_tanh_of_one_over_m_is_lamberts_pattern(m, least):
+    # tanh(1/m) = (E - 1) / (E + 1) with E = e^(2/m)
+    e = exp_certified(CertifiedReal.point(Fraction(2, m)), 2000)
+    prefix = _shared_prefix((e - 1) / (e + 1), 10 ** 6)
+    assert len(prefix) >= least
+    assert prefix == tanh_pattern(m, len(prefix))

@@ -171,6 +171,16 @@ class TestBudget:
             PrecisionBudget(5, guard=-1)
         assert PrecisionBudget(30, guard=7).working == 37
 
+    @pytest.mark.parametrize("args, field", [
+        ((60.5,), "digits"), ((60.0,), "digits"), ((Decimal(60),), "digits"),
+        (("60",), "digits"), ((True,), "digits"), ((60, 1.5), "guard"),
+        ((60, 10, 1e6), "cap"),
+    ])
+    def test_fields_are_ints(self, args, field):
+        # a float budget once reached eval_constant, which died with OverflowError
+        with pytest.raises(TypeError, match=f"^{field} must be an int, not "):
+            PrecisionBudget(*args)
+
     def test_escalated_respects_cap(self):
         b = PrecisionBudget(100, guard=0, cap=150)
         with pytest.raises(PrecisionError):
@@ -390,7 +400,7 @@ class TestLogExp:
         if width == 0:
             # the same enclosure as the kernel's lower and upper bounds at x
             lo, hi = original(x.as_integer_ratio(), calls[0])
-            assert out == CertifiedReal.from_fixed(lo, hi, calls[0])
+            assert out == reals._iv(lo, hi, 10 ** calls[0])
 
     @settings(max_examples=40, deadline=None)
     @given(log_exp_intervals())
@@ -604,8 +614,7 @@ def intervals(draw):
         return CertifiedReal(a, b)
     if form == "fixed":
         scale = draw(st.integers(0, 30))
-        return CertifiedReal.from_fixed(floor(a * 10 ** scale), ceil(b * 10 ** scale),
-                                        scale)
+        return reals._iv(floor(a * 10 ** scale), ceil(b * 10 ** scale), 10 ** scale)
     den = a.denominator * b.denominator * draw(st.integers(1, 10 ** 12))
     return reals._iv(a.numerator * (den // a.denominator),
                      b.numerator * (den // b.denominator), den)
@@ -665,14 +674,14 @@ class TestIntegerForm:
 
     def test_equal_across_denominators(self):
         half_one = CertifiedReal(Fraction(1, 2), 1)
-        fixed = CertifiedReal.from_fixed(5, 10, 1)
+        fixed = reals._iv(5, 10, 10 ** 1)
         assert (half_one.den, fixed.den) == (2, 10)
         assert half_one == fixed and hash(half_one) == hash(fixed)
         assert repr(fixed) == "CertifiedReal(1/2, 1)"
         assert copy.deepcopy(fixed) == fixed
 
     def test_immutable(self):
-        x = CertifiedReal.from_fixed(1, 2, 3)
+        x = reals._iv(1, 2, 10 ** 3)
         for name in ("lo_num", "hi_num", "den", "lo"):
             with pytest.raises(FrozenInstanceError):
                 setattr(x, name, 0)

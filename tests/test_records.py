@@ -12,6 +12,7 @@ from decimal import Decimal
 
 import pytest
 
+import cfcert.reals as reals
 from cfcert import (
     CertifiedReal,
     Convergent,
@@ -26,7 +27,7 @@ from cfcert import (
     SurdExpansion,
 )
 
-X = CertifiedReal.from_fixed(1, 2, 3)
+X = reals._iv(1, 2, 10 ** 3)
 
 # (record, its repr as printed when the records were frozen dataclasses)
 RECORDS = [
@@ -103,6 +104,8 @@ def test_copies_and_pickles_equal(record, text):
     lambda: Surd(1, 1, 2, 0),
     lambda: Surd(0, 1, 1, 1),
     lambda: DecimalLiteral("1e5"),
+    lambda: DecimalLiteral("٠.٥"),
+    lambda: DecimalLiteral("0.5\n"),
     lambda: PartialQuotients(()),
     lambda: PartialQuotients((1, 0)),
     lambda: Convergent(0, 1, 0),

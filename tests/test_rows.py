@@ -17,10 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfcert import measure, probe
+from cfcert import PrecisionError, measure, probe
 from cfcert.cf import expand
 from cfcert.convergents import Convergent, convergents_iter
-from cfcert.errors import PrecisionError
 from cfcert.reals import (
     DEFAULT_BUDGET,
     CertifiedReal,
@@ -257,18 +256,27 @@ def test_mu_width_of_half_an_ulp_is_undecided(monkeypatch, below, expected):
 @pytest.mark.parametrize("mu, expected", [
     (Decimal("2.123456"), "1.271547"), ("2.123456", "1.271547"),
     (Fraction(2_123_456, 10 ** 6), "1.271547"), (Decimal("2.1234560"), "1.271547"),
-    (Decimal("2.1234567891"), "1.271549"), ("7/3", "1.912931"), (2.5, "2.645751"),
-    (Decimal("-1.5"), "0.001102"), (2, "1.000000"),
+    (Decimal("2.1234567891"), "1.271549"), ("7/3", "1.912931"),
+    (Decimal("2.5"), "2.645751"), (Decimal("-1.5"), "0.001102"), (2, "1.000000"),
 ])
 def test_lagrange_reads_mu_exactly(mu, expected):
-    # values from the exact rational Fraction(str(mu)), whatever mu's type
+    # values from the exact rational CertifiedReal.point(mu), whatever mu's type
     assert str(measure.lagrange(7, mu)) == expected
 
 
-@pytest.mark.parametrize("mu", [Decimal("NaN"), Decimal("Infinity"), "abc", float("inf")])
-def test_lagrange_refuses_a_non_number(mu):
-    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
-        measure.lagrange(7, mu)
+@pytest.mark.parametrize("mu, error, message", [
+    (Decimal("NaN"), ValueError, "cannot convert NaN"),
+    (Decimal("Infinity"), OverflowError, "cannot convert Infinity"),
+    ("abc", ValueError, "Invalid literal for Fraction"),
+    (float("inf"), TypeError, "inexact float inf"),
+    (2.5, TypeError, "inexact float 2.5"),
+], ids=["mu0", "mu1", "abc", "inf", "float"])
+def test_lagrange_refuses_a_non_number(mu, error, message):
+    # as CertifiedReal.point refuses it, a float included, also where q = 1
+    for call in (lambda: measure.lagrange(7, mu), lambda: measure.lagrange(1, mu),
+                 lambda: CertifiedReal.point(mu)):
+        with pytest.raises(error, match=message):
+            call()
 
 
 class TestEnvelopeDomain:
