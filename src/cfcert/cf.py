@@ -125,7 +125,21 @@ def expand(spec: ConstantSpec, want_terms: int,
     Exact rationals return their full terminating expansion instead
     (possibly shorter than requested).  Raises PrecisionError with the
     achieved ``certified_count`` if the cap is hit first.
+
+    A level is skipped, without evaluating the constant, when it is
+    predicted to certify fewer than 3/4 of ``want_terms`` and a next level
+    exists under the cap.  The prediction is working · max(k / w, 97/100)
+    quotients, from the k quotients of the last level evaluated at w
+    working digits: the measured rate, floored by Lochs' theorem (n
+    digits of almost every real fix about 0.97 n quotients) so that a
+    stalled sample, such as one huge quotient, cannot jump far.  A wrong
+    skip costs time, never output: cells nest from level to level, so a
+    finer level certifies at least the prefix of a coarser one, and where
+    the top level's cell does not fit under the cap, the levels skipped
+    below it are evaluated after all, highest first.
     """
+    if type(want_terms) is not int:
+        raise TypeError(f"want_terms must be an int, not {want_terms!r}")
     if want_terms < 1:
         raise ValueError("want_terms must be >= 1")
 
@@ -135,14 +149,25 @@ def expand(spec: ConstantSpec, want_terms: int,
         return PartialQuotients(tuple(terms), terminated=True)
 
     best: list[int] = []
+    rate = (0, 0)  # (quotients, working digits) at the last level evaluated
+    skipped: list[PrecisionBudget] = []
 
     def attempt(b: PrecisionBudget) -> PartialQuotients:
-        nonlocal best
-        try:
-            best = max(best, _shared_prefix(eval_constant(spec, b), want_terms),
-                       key=len)
-        except PrecisionError:
-            pass  # over the cap: report the prefix certified so far
+        nonlocal best, rate
+        k, w = rate
+        # predicted < 3/4 want_terms, in integers; never before a sample (w = 0)
+        short = 4 * b.working * max(100 * k, 97 * w) < 300 * want_terms * w
+        if short and 2 * b.working <= b.cap:
+            skipped.append(b)
+        else:
+            for level in (b, *reversed(skipped)):
+                try:
+                    prefix = _shared_prefix(eval_constant(spec, level), want_terms)
+                except PrecisionError:
+                    continue  # over the cap: fall back on a level skipped below
+                best, rate = max(best, prefix, key=len), (len(prefix), level.working)
+                break
+            skipped.clear()
         if len(best) < want_terms:
             raise PrecisionError(
                 f"certified only {len(best)} of {want_terms} quotients",
@@ -168,6 +193,8 @@ def surd_expand(spec: Surd, want_terms: int) -> SurdExpansion:
     """
     if not isinstance(spec, Surd):
         raise TypeError("surd_expand requires a Surd constant")
+    if type(want_terms) is not int:
+        raise TypeError(f"want_terms must be an int, not {want_terms!r}")
     if want_terms < 1:
         raise ValueError("want_terms must be >= 1")
 

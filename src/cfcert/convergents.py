@@ -292,6 +292,8 @@ def fib_power(n: int) -> Mat2:
 
     Entries are [[F_n+1, F_n], [F_n, F_n-1]]; n = 0 gives the identity.
     """
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, not {n!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
     result = Mat2.identity()

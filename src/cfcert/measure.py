@@ -138,6 +138,8 @@ def mu_table(alpha: ConstantSpec, rows: int,
     Display index n is the 0-based convergent index plus one.  For exact
     rational constants the table stops at the terminating expansion.
     """
+    if type(rows) is not int:
+        raise TypeError(f"rows must be an int, not {rows!r}")
     if rows < 1:
         raise ValueError("rows must be >= 1")
     quotients = expand(alpha, rows, budget)

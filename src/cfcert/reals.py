@@ -39,6 +39,12 @@ class PrecisionError(ArithmeticError):
         self.certified_count = certified_count
 
 
+def _require_int(name: str, value) -> None:
+    """TypeError naming the argument unless ``value`` is an int (not a bool)."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, not {value!r}")
+
+
 class PrecisionBudget(namedtuple("PrecisionBudget", "digits guard cap")):
     """Requested certified decimal digits plus guard digits for headroom.
 
@@ -52,9 +58,8 @@ class PrecisionBudget(namedtuple("PrecisionBudget", "digits guard cap")):
 
     def __new__(cls, digits: int, guard: int = 10, cap: int = DEFAULT_PRECISION_CAP):
         if not type(digits) is type(guard) is type(cap) is int:
-            name, value = next((n, v) for n, v in zip(cls._fields, (digits, guard, cap))
-                               if type(v) is not int)
-            raise TypeError(f"{name} must be an int, not {value!r}")
+            for name, value in zip(cls._fields, (digits, guard, cap)):
+                _require_int(name, value)
         if digits < 1:
             raise ValueError("digits must be >= 1")
         if guard < 0:
@@ -131,6 +136,9 @@ class CertifiedReal:
                             "Decimal or decimal string")
         if type(value) is int:
             return _iv(value, value, 1)
+        if isinstance(value, bool):  # a flag, not a number, as for quotients
+            raise TypeError(f"bool {value!r} is not a number; pass an int, "
+                            "Fraction, Decimal or decimal string")
         # a Decimal, such as a table row's mu, gives its ratio with no Fraction built
         num, den = (value if isinstance(value, Decimal)
                     else Fraction(value)).as_integer_ratio()
@@ -628,6 +636,7 @@ def _root_point_fx(x: tuple[int, int], scale: int, k: int) -> tuple[int, int]:
 
 def pi_interval(scale: int) -> CertifiedReal:
     """The one-ulp cell [f, f + 1] 10^-scale holding pi, f = floor(pi 10^scale)."""
+    _require_int("scale", scale)
     return _iv(*_cell(scale, _pi_fx), 10 ** scale)
 
 
@@ -765,6 +774,7 @@ def sin_certified(x: CertifiedReal, budget: PrecisionBudget) -> CertifiedReal:
 def ln_certified(x: CertifiedReal, scale: int) -> CertifiedReal:
     """Enclosure of ln over a certainly-positive interval, however wide:
     |ln(c + t) - ln c| <= h / lo for |t| <= h."""
+    _require_int("scale", scale)
     if not x.certainly_positive():
         raise PrecisionError("ln needs an interval certified positive")
     lo, hi = _ln_point_fx((x.lo_num + x.hi_num, 2 * x.den), scale)
@@ -777,6 +787,7 @@ def exp_certified(y: CertifiedReal, scale: int) -> CertifiedReal:
     """Enclosure of exp over an interval with both ends in [-scale ln 10,
     scale ln 10] (else PrecisionError): |exp(c + t) - exp c| <= h exp(c) e^h
     for |t| <= h, where e^h <= 2^ceil(2h) as ln 2 > 1/2."""
+    _require_int("scale", scale)
     bound, unit = (scale * log(10)).as_integer_ratio()
     if max(-y.lo_num, y.hi_num) * unit > bound * y.den:
         raise PrecisionError(f"exp argument out of range at scale {scale}")

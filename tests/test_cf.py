@@ -23,6 +23,7 @@ from cfcert import (
 )
 import cfcert.cf as cf
 from cfcert.cf import _euclid, _shared_prefix
+from cfcert.reals import DEFAULT_BUDGET, escalate
 
 from reference_data import PI2_QUOTIENTS_27
 
@@ -117,6 +118,114 @@ class TestExpand:
     def test_quotient_positivity(self):
         q = expand(PiPower(2, 1), 40)
         assert all(a >= 1 for a in q.terms[1:])
+
+
+def evaluated_levels(spec, want_terms, budget, monkeypatch):
+    """The working digits of each ``eval_constant`` call that ``expand``
+    makes, in order, and its result or PrecisionError."""
+    levels = []
+
+    def counted(spec, b):
+        levels.append(b.working)
+        return eval_constant(spec, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cf, "eval_constant", counted)
+        try:
+            result = expand(spec, want_terms, budget)
+        except PrecisionError as exc:
+            result = exc
+    return levels, result
+
+
+# (spec, want_terms, cap): certified_count and working precision at the cap
+# from PrecisionBudget(20, 10, cap), and the eval_constant calls behind them
+CAP_PATHS = [
+    (PiPower(2, 1), 27, 30, 0, 30, [30]),
+    (PiPower(2, 1), 5000, 4000, 3750, 3840, [30, 3840]),
+    (PiPower(5, 2), 3000, 2500, 1822, 1920, [30, 1920]),
+    (Surd(1, 1, 5, 2), 3000, 1000, 2316, 960, [30, 960]),
+    (Surd(0, 1, 69, 1), 2000, 1500, 924, 960, [30, 960]),
+    (PiPower(1, 1), 20000, 9000, 7520, 7680, [30, 7680]),
+    # the top level's cell does not fit under the cap (3840 + 8 + 2 > 3845,
+    # 480 + 8 + 300 > 480): the levels skipped below it are evaluated after
+    # all, highest first, so certified_count stays that of the plain ladder
+    (PiPower(2, 1), 5000, 3845, 1881, 3840, [30, 3840, 1920]),
+    (PiPower(-300, 7), 5000, 480, 356, 480, [30, 480, 240, 120]),
+]
+CAP_IDS = ["pi2-27", "pi2-5000", "pi^5/2", "golden", "sqrt69", "pi-20000",
+           "pi2-top-over-cap", "pi^-300/7-top-over-cap"]
+
+
+class TestCapPaths:
+    """What ``expand`` reports when the cap stops it, whichever levels it
+    evaluates on the way."""
+
+    @pytest.mark.parametrize("spec, want, cap, count, working, levels",
+                             CAP_PATHS, ids=CAP_IDS)
+    def test_message_and_certified_count(self, spec, want, cap, count, working,
+                                         levels):
+        with pytest.raises(PrecisionError) as exc_info:
+            expand(spec, want, PrecisionBudget(20, 10, cap))
+        assert exc_info.value.certified_count == count
+        assert str(exc_info.value) == (f"certified only {count} of {want} quotients "
+                                       f"(working precision {working}, cap {cap})")
+
+
+class TestSkippedLevels:
+    """``expand`` skips the levels predicted to fall short, and nothing else."""
+
+    @pytest.mark.parametrize("spec, want, cap, count, working, levels",
+                             CAP_PATHS, ids=CAP_IDS)
+    def test_levels_on_cap_paths(self, spec, want, cap, count, working, levels,
+                                 monkeypatch):
+        calls, exc = evaluated_levels(spec, want, PrecisionBudget(20, 10, cap),
+                                      monkeypatch)
+        assert calls == levels
+        assert exc.certified_count == count
+
+    @pytest.mark.parametrize("spec, want, levels", [
+        (PiPower(2, 1), 1016, [70, 1120]),
+        (Surd(1, 1, 5, 2), 1000, [70, 560]),  # about 2.4 quotients a digit
+        (Surd(0, 1, 10 ** 30 + 1, 1), 40, [70, 140, 280, 560, 1120, 2240]),
+    ], ids=["pi2", "golden", "huge-quotients"])
+    def test_levels_from_the_default_budget(self, spec, want, levels, monkeypatch):
+        calls, result = evaluated_levels(spec, want, DEFAULT_BUDGET, monkeypatch)
+        assert calls == levels
+        assert len(result) == want
+
+    def test_last_level_is_the_lowest_that_holds_the_prefix(self, monkeypatch):
+        # the ladder's prefix length at each level, by climbing every level
+        specs = [PiPower(1, 1), PiPower(2, 1), PiPower(-1, 1), PiPower(3, 4),
+                 PiPower(-2, 3), PiPower(7, 5), Surd(1, 1, 5, 2), Surd(0, 1, 2, 1),
+                 Surd(0, 1, 69, 1), Surd(7, -3, 13, 11),
+                 Surd(0, 1, 10 ** 30 + 1, 1)]
+        largest = [2500] * 10 + [300]  # quotients of about 15 digits: 300
+        grid = sorted({round(5 * 1.15 ** i) for i in range(45)})  # 5 .. 2500
+        cases = skipped = 0
+        for spec, most in zip(specs, largest):
+            ladder = []
+
+            def climb(b):
+                ladder.append((b.working,
+                               len(_shared_prefix(eval_constant(spec, b), most))))
+                if ladder[-1][1] < most:
+                    raise PrecisionError("short")
+
+            escalate(climb, DEFAULT_BUDGET)
+            # the grid, and each side of every level's prefix length
+            sizes = {n for n in grid if n <= most}
+            sizes |= {n + d for _, n in ladder for d in (0, 1) if n + d <= most}
+            for want in sorted(sizes):
+                lowest = next(i for i, (_, n) in enumerate(ladder) if n >= want)
+                calls, result = evaluated_levels(spec, want, DEFAULT_BUDGET,
+                                                 monkeypatch)
+                assert (spec, want, calls[-1]) == (spec, want, ladder[lowest][0])
+                assert set(calls) <= {w for w, _ in ladder[:lowest + 1]}
+                assert len(result) == want
+                cases += 1
+                skipped += len(calls) < lowest + 1
+        assert cases > 500 and skipped > cases // 3
 
 
 class TestCertify:

@@ -115,6 +115,11 @@ class TestLagrange:
         with pytest.raises(ValueError):
             lagrange(0, Decimal("2"))
 
+    def test_bool_mu_refused(self):
+        # True once read as mu = 1, giving 7^(1 - 2) = 0.142857
+        with pytest.raises(TypeError, match="^bool True is not a number"):
+            lagrange(7, True)
+
 
 @pytest.fixture(scope="module")
 def table():

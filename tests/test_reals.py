@@ -22,7 +22,13 @@ from cfcert import (
     PrecisionError,
     Surd,
     eval_constant,
+    expand,
+    fib_power,
+    lagrange,
+    measure_table,
+    mu_table,
     sin_certified,
+    surd_expand,
 )
 from cfcert.reals import (
     _floor_log10,
@@ -448,6 +454,45 @@ class TestIntervalArithmetic:
             CertifiedReal(Fraction(-1), Fraction(1)).reciprocal()
 
 
+# every public count or scale, as (argument name, call taking it)
+COUNT_ARGUMENTS = [
+    ("want_terms", lambda v: expand(PiPower(2, 1), v)),
+    ("want_terms", lambda v: surd_expand(Surd(0, 1, 2, 1), v)),
+    ("rows", lambda v: mu_table(PiPower(2, 1), v)),
+    ("rows", lambda v: measure_table(PiPower(2, 1), v)),
+    ("scale", pi_interval),
+    ("scale", lambda v: ln_certified(CertifiedReal.point(2), v)),
+    ("scale", lambda v: exp_certified(CertifiedReal.point(1), v)),
+    ("n", fib_power),
+]
+
+
+class TestCountsAreInts:
+    """A float or a bool count is refused before any enclosure is kept: a
+    kept enclosure at a float scale broke later calls in the process."""
+
+    @pytest.mark.parametrize("value", [2.5, 20.0, True])
+    @pytest.mark.parametrize("name, call", COUNT_ARGUMENTS,
+                             ids=["expand", "surd_expand", "mu_table", "measure_table",
+                                  "pi_interval", "ln_certified", "exp_certified",
+                                  "fib_power"])
+    def test_refused_with_the_argument_named(self, name, call, value, monkeypatch):
+        monkeypatch.setattr(reals, "_KEPT", dict(reals._KEPT))
+        kept = dict(reals._KEPT)
+        with pytest.raises(TypeError, match=f"^{name} must be an int, not {value!r}$"):
+            call(value)
+        assert reals._KEPT == kept
+
+    def test_later_calls_unaffected(self, monkeypatch):
+        monkeypatch.setattr(reals, "_KEPT", {})
+        with pytest.raises(TypeError):
+            exp_certified(CertifiedReal.point(1), 20.5)
+        assert lagrange(7, 1) == Decimal("0.142857")
+        with pytest.raises(TypeError):
+            pi_interval(10.5)
+        assert pi_interval(10).lo == Fraction(31415926535, 10 ** 10)
+
+
 class TestEscalate:
     def test_returns_first_success(self):
         seen = []
@@ -698,6 +743,14 @@ class TestIntegerForm:
                      lambda: x.certainly_greater_than(0.5), lambda: x + 0.5,
                      lambda: x * 2.0):
             with pytest.raises(TypeError):
+                call()
+
+    def test_bools_refused(self):
+        # a flag is not a number, as for quotients and budgets
+        x = CertifiedReal.point(Fraction(1, 10))
+        for call in (lambda: CertifiedReal.point(True), lambda: CertifiedReal(False, 1),
+                     lambda: x.contains(True), lambda: x + True, lambda: x * False):
+            with pytest.raises(TypeError, match="^bool (True|False) is not a number"):
                 call()
 
     @pytest.mark.parametrize("value", [Decimal("0.1"), "0.1", "1/10", Fraction(1, 10)])
