@@ -282,8 +282,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, *flags, formats=("text", "csv")):
+    def command(name, handler, help, *flags, formats=("text", "csv")):
         p = sub.add_parser(name, help=help, formatter_class=formatter)
+        p.set_defaults(handler=handler)
         p.add_argument("constant", help="pi, pi2, pi3, pi^t/s, sqrt:d, "
                                         "surd:a,b,d,c, lit:x, golden")
         p.add_argument("--terms", "--rows", "-n", dest="terms", type=int,
@@ -300,24 +301,16 @@ def _build_parser() -> argparse.ArgumentParser:
         if "--seed" in flags:
             p.add_argument("--seed", type=int, default=None)
 
-    command("expand", "certified partial quotients", "--format")
-    command("convergents", "convergents p_n/q_n", "--engine", "--format")
-    command("measure", "irrationality-measure table", "--digits", "--format",
-            formats=("text", "csv", "plot"))
-    command("probe", "residual and sine-probe table", "--digits", "--format")
-    command("verify", "identity and bound checks", "--digits")
-    command("bench", "engine benchmark on exact quotients", "--seed")
+    command("expand", _cmd_expand, "certified partial quotients", "--format")
+    command("convergents", _cmd_convergents, "convergents p_n/q_n",
+            "--engine", "--format")
+    command("measure", _cmd_measure, "irrationality-measure table",
+            "--digits", "--format", formats=("text", "csv", "plot"))
+    command("probe", _cmd_probe, "residual and sine-probe table",
+            "--digits", "--format")
+    command("verify", _cmd_verify, "identity and bound checks", "--digits")
+    command("bench", _cmd_bench, "engine benchmark on exact quotients", "--seed")
     return parser
-
-
-_COMMANDS = {
-    "expand": _cmd_expand,
-    "convergents": _cmd_convergents,
-    "measure": _cmd_measure,
-    "probe": _cmd_probe,
-    "verify": _cmd_verify,
-    "bench": _cmd_bench,
-}
 
 
 def run(argv: list[str] | None = None, out=None) -> int:
@@ -335,7 +328,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
     try:
         if args.terms < 1:
             raise ValueError("--terms must be >= 1")
-        return _COMMANDS[args.command](args, out)
+        return args.handler(args, out)
     except PrecisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,6 +21,7 @@ from .cf import expand
 from .convergents import Convergent, convergents_iter
 from .reals import (
     DEFAULT_BUDGET,
+    DEFAULT_PRECISION_CAP,
     CertifiedReal,
     ConstantSpec,
     PrecisionBudget,
@@ -35,11 +36,6 @@ _PLACES = 6
 _SCALE = 10 ** _PLACES
 # certification threshold: half an ulp of the displayed six decimals, as a/b
 _MU_WIDTH = (5, 10 ** (_PLACES + 1))
-
-
-def _display_budget(cap: int) -> PrecisionBudget:
-    # both columns' logs start at the 7 digits that decide six decimals, plus 4 guard
-    return PrecisionBudget(_PLACES + 1, 4, cap)
 
 
 def _as_decimal(scaled: int) -> Decimal:
@@ -96,21 +92,27 @@ def mu_n(alpha: ConstantSpec, conv: Convergent,
                 lo = hi
         return _as_decimal(lo)
 
-    return escalate(attempt, _display_budget(max(budget.working, 7) + 4))
+    # the logs start at the 7 digits that decide six decimals, plus 4 guard
+    cap = max(budget.working, 7) + 4
+    return escalate(attempt, PrecisionBudget(_PLACES + 1, 4, cap))
 
 
 def lagrange(q: int, mu) -> Decimal:
     """q^(mu - 2) at six decimals (half-even); exactly 1.000000 for q = 1.
 
     ``mu`` is read exactly, as :meth:`CertifiedReal.point` reads every
-    exact input, so a float is refused.  ln q and exp start where mu's
-    logs do and double: 11, 22, ..., 5632 digits.
+    exact input, so a float is refused.  ln q and exp start at 7 digits
+    past the value's integer digits (at least 11) and double up to the
+    package cap.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     exponent = CertifiedReal.point(mu) - 2
     if q == 1:
         return _as_decimal(_SCALE)
+    # q^|mu - 2| has at most this many integer digits, as log10 2 < 0.30103
+    scaled = abs(exponent).scaled(_PLACES, "ceil")[1]  # >= |mu - 2| 10^6
+    digits = q.bit_length() * scaled * 30103 // (100_000 * _SCALE) + 1
 
     def attempt(b: PrecisionBudget) -> Decimal:
         lnq = ln_certified(CertifiedReal.point(q), b.working)
@@ -120,7 +122,8 @@ def lagrange(q: int, mu) -> Decimal:
             raise PrecisionError("lagrange value sits on a rounding boundary")
         return _as_decimal(lo)
 
-    return escalate(attempt, _display_budget(10_000))
+    working = min(max(11, digits + 7), DEFAULT_PRECISION_CAP)
+    return escalate(attempt, PrecisionBudget(working - 4, 4))
 
 
 def measure_table(alpha: ConstantSpec, rows: int,

@@ -107,9 +107,9 @@ def envelope_check(z: CertifiedReal, budget: PrecisionBudget | None = None) -> b
 def _envelope_holds(abs_z: CertifiedReal, sin_abs: CertifiedReal,
                     pi: CertifiedReal) -> bool:
     """False only if (2/pi)|z| <= |sin z| <= |z| is certainly violated."""
-    scaled = abs_z * pi.reciprocal() * 2
-    # certified violation tests; both inequalities are theorems on the domain
-    return not ((scaled - sin_abs).certainly_positive()
+    # certified violation tests; both inequalities are theorems on the domain.
+    # (2/pi)|z| > |sin z| as 2|z| - pi |sin z| > 0: every end is >= 0, pi > 0
+    return not ((abs_z * 2 - sin_abs * pi).certainly_positive()
                 or (sin_abs - abs_z).certainly_positive())
 
 

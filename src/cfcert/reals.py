@@ -73,24 +73,13 @@ class PrecisionBudget(namedtuple("PrecisionBudget", "digits guard cap")):
     def working(self) -> int:
         return self.digits + self.guard
 
-    def escalated(self) -> "PrecisionBudget":
-        """Budget with the working precision doubled, guard and cap kept.
-
-        Raises PrecisionError past ``cap``.  Only :func:`escalate` calls this.
-        """
-        working = 2 * self.working
-        if working > self.cap:
-            raise PrecisionError(
-                f"working precision {working} exceeds cap {self.cap}"
-            )
-        return PrecisionBudget(working - self.guard, self.guard, self.cap)
-
 
 DEFAULT_BUDGET = PrecisionBudget(60)  # default start of escalation and of --digits
 
 
 def escalate(attempt: Callable[[PrecisionBudget], object], budget: PrecisionBudget):
-    """``attempt(budget)``, rerun at ``budget.escalated()`` after each PrecisionError.
+    """``attempt(budget)``, rerun with the working precision doubled (guard
+    and cap kept) after each PrecisionError.
 
     The package's one precision policy.  Once the next doubling would pass
     ``cap``, raises one PrecisionError with the last attempt's message and
@@ -100,13 +89,13 @@ def escalate(attempt: Callable[[PrecisionBudget], object], budget: PrecisionBudg
         try:
             return attempt(budget)
         except PrecisionError as exc:
-            try:
-                budget = budget.escalated()
-            except PrecisionError:
+            digits, guard, cap = budget
+            if 2 * budget.working > cap:
                 raise PrecisionError(
-                    f"{exc} (working precision {budget.working}, cap {budget.cap})",
+                    f"{exc} (working precision {budget.working}, cap {cap})",
                     certified_count=exc.certified_count,
                 ) from exc
+            budget = PrecisionBudget(2 * digits + guard, guard, cap)
 
 
 # ---------------------------------------------------------------------------

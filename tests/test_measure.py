@@ -120,6 +120,28 @@ class TestLagrange:
         with pytest.raises(TypeError, match="^bool True is not a number"):
             lagrange(7, True)
 
+    def test_value_past_ten_thousand_digits(self):
+        # 10^5700 once passed the private 10,000-digit cap of the ladder
+        assert lagrange(10 ** 5700, 3) == Decimal("1" + "0" * 5700 + ".000000")
+
+    def test_tiny_value_of_huge_q(self):
+        assert lagrange(10 ** 5700, 1) == Decimal("0.000000")
+
+    def test_starts_at_the_values_digits(self, monkeypatch):
+        # one ln q and one exp, not ln q at every level from 11 digits up
+        counts = {"_ln_point_fx": 0, "_exp_point_fx": 0}
+
+        def counted(name, fn):
+            def run(*args):
+                counts[name] += 1
+                return fn(*args)
+            return run
+
+        for name in counts:
+            monkeypatch.setattr(reals, name, counted(name, getattr(reals, name)))
+        assert lagrange(10 ** 3000, 3) == Decimal("1" + "0" * 3000 + ".000000")
+        assert counts == {"_ln_point_fx": 1, "_exp_point_fx": 1}
+
 
 @pytest.fixture(scope="module")
 def table():

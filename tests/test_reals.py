@@ -188,9 +188,16 @@ class TestBudget:
             PrecisionBudget(*args)
 
     def test_escalated_respects_cap(self):
+        seen = []
+
+        def attempt(b):
+            seen.append(b)
+            raise PrecisionError("short")
+
         b = PrecisionBudget(100, guard=0, cap=150)
         with pytest.raises(PrecisionError):
-            b.escalated()
+            escalate(attempt, b)
+        assert seen == [b]  # doubling to 200 would pass the cap
 
 
 _ORACLE_DPS = 300  # mpmath digits for sine-interval centres and oracles
@@ -508,7 +515,15 @@ class TestEscalate:
         assert out.working == 160
 
     def test_doubles_working_keeping_guard_and_cap(self):
-        b = PrecisionBudget(30, guard=7, cap=500).escalated()
+        seen = []
+
+        def attempt(b):
+            seen.append(b)
+            if len(seen) < 2:
+                raise PrecisionError("not yet")
+            return b
+
+        b = escalate(attempt, PrecisionBudget(30, guard=7, cap=500))
         assert (b.digits, b.guard, b.cap, b.working) == (67, 7, 500, 74)
 
     def test_cap_raises_once_with_last_certified_count(self):
