@@ -1,6 +1,6 @@
 """Certified continued-fraction expansion of constants.
 
-Two routes: Euclid on the two rational endpoints of one enclosure for
+Two routes: a precision ladder over CertifiedReal.partial_quotients for
 arbitrary constants, and the exact integer (P, Q) recurrence for
 quadratic surds (no rounding anywhere on that path).
 """
@@ -8,14 +8,11 @@ quadratic surds (no rounding anywhere on that path).
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
-from itertools import islice
 from math import isqrt
 
 from .reals import (
     DEFAULT_BUDGET,
     DEFAULT_PRECISION_CAP,
-    CertifiedReal,
     ConstantSpec,
     PrecisionBudget,
     PrecisionError,
@@ -84,40 +81,6 @@ class SurdExpansion(namedtuple("SurdExpansion", "quotients preperiod period")):
         return self.quotients.terms[self.preperiod:self.preperiod + self.period]
 
 
-# ---------------------------------------------------------------------------
-# expansion via Euclid on the enclosure endpoints
-# ---------------------------------------------------------------------------
-
-def _euclid(num: int, den: int) -> Iterator[int]:
-    # plain Euclid on num/den in any terms; canonical (last quotient >= 2 if len > 1)
-    while den:
-        a, rem = divmod(num, den)
-        yield a
-        num, den = den, rem
-
-
-def _shared_prefix(x: CertifiedReal, max_terms: int) -> list[int]:
-    """Leading quotients shared by the Euclid expansions of x.lo and x.hi.
-
-    Stops at the first disagreement, at the end of either expansion or
-    after ``max_terms``.  Every real in [lo, hi] starts with this prefix
-    a_0, ..., a_k: Euclid on a rational yields its floor/reciprocal
-    quotients, so the reals starting with the prefix form the set
-    {[a_0; ..., a_k-1, t] : a_k <= t < a_k + 1, t > 1 if k > 0}, the image
-    of an interval under a monotone map, hence an interval.  It holds
-    both endpoints, so every real between them.  No shared term needs
-    dropping: an endpoint whose expansion ends at a_k has t = a_k, which
-    is in the set because a canonical last quotient is >= 2 when k > 0.
-    """
-    prefix: list[int] = []
-    ends = (_euclid(*end.as_integer_ratio()) for end in (x.lo, x.hi))
-    for a, b in islice(zip(*ends), max_terms):
-        if a != b:
-            break
-        prefix.append(a)
-    return prefix
-
-
 def expand(spec: ConstantSpec, want_terms: int,
            budget: PrecisionBudget = DEFAULT_BUDGET) -> PartialQuotients:
     """At least ``want_terms`` certified quotients, escalating from ``budget``.
@@ -143,10 +106,9 @@ def expand(spec: ConstantSpec, want_terms: int,
     if want_terms < 1:
         raise ValueError("want_terms must be >= 1")
 
-    exact = exact_value(spec)
-    if exact is not None:
-        terms = list(_euclid(*exact.as_integer_ratio()))
-        return PartialQuotients(tuple(terms), terminated=True)
+    if exact_value(spec) is not None:
+        return PartialQuotients(tuple(eval_constant(spec, budget).partial_quotients()),
+                                terminated=True)
 
     best: list[int] = []
     rate = (0, 0)  # (quotients, working digits) at the last level evaluated
@@ -162,7 +124,7 @@ def expand(spec: ConstantSpec, want_terms: int,
         else:
             for level in (b, *reversed(skipped)):
                 try:
-                    prefix = _shared_prefix(eval_constant(spec, level), want_terms)
+                    prefix = eval_constant(spec, level).partial_quotients(want_terms)
                 except PrecisionError:
                     continue  # over the cap: fall back on a level skipped below
                 best, rate = max(best, prefix, key=len), (len(prefix), level.working)

@@ -108,6 +108,8 @@ def _mul4(x: tuple[int, int, int, int], y: tuple[int, int, int, int],
 def _terms_of(quotients, upto: int) -> Sequence[int]:
     """The quotients as a list, checked as a simple continued fraction
     through index ``upto``: a_0..a_upto are ints, a_1..a_upto are >= 1."""
+    if type(upto) is not int:
+        raise TypeError(f"index must be an int, not {upto!r}")
     if upto < 0:
         raise IndexError(f"index {upto} is negative")
     terms = list(quotients)

@@ -105,6 +105,8 @@ def lagrange(q: int, mu) -> Decimal:
     past the value's integer digits (at least 11) and double up to the
     package cap.
     """
+    if type(q) is not int:
+        raise TypeError(f"q must be an int, not {q!r}")
     if q < 1:
         raise ValueError("q must be >= 1")
     exponent = CertifiedReal.point(mu) - 2

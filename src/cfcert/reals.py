@@ -107,7 +107,7 @@ class CertifiedReal:
 
     Integer numerators ``lo_num <= hi_num`` over one unnormalised ``den > 0``
     (10^scale for kernel results, q for a point p/q) carry all arithmetic,
-    comparisons and the integer queries that table rows use; ``lo``,
+    comparisons and the integer queries of table rows and expand; ``lo``,
     ``hi``, ``width`` and ``midpoint`` are lowest-terms Fraction views.
     Immutable; equal by value.
     """
@@ -197,8 +197,8 @@ class CertifiedReal:
         return (self - CertifiedReal.point(value)).certainly_positive()
 
     # -- integer queries on the endpoints ---------------------------------
-    # Table rows decide every flag and printed cell with these: each
-    # cross-multiplies the numerators, and none builds a Fraction.
+    # Table rows decide every flag and printed cell with these, and expand
+    # its quotients: each works on the integers, and none builds a Fraction.
 
     def compare(self, a: int, b: int = 1) -> tuple[int, int]:
         """Signs (-1, 0 or 1) of lo - a/b and of hi - a/b, for integers a and b > 0."""
@@ -230,6 +230,33 @@ class CertifiedReal:
         lo, hi = abs(self.lo_num), abs(self.hi_num)
         return (_floor_log10(lo, self.den) if lo else None,
                 _floor_log10(hi, self.den) if hi else None)
+
+    def partial_quotients(self, max_terms: int | None = None) -> list[int]:
+        """Euclid's quotients on lo_num/den and hi_num/den in lockstep, up to
+        the first pair that differ, either expansion's end or ``max_terms``
+        (an int >= 0, or None); on a point, its whole canonical expansion.
+
+        Every real in [lo, hi] starts with this prefix a_0, ..., a_k, as
+        Euclid on a ratio in any terms yields its floor/reciprocal quotients:
+        the reals with this prefix form {[a_0; ..., a_k-1, t] : a_k <= t <
+        a_k + 1, t > 1 if k > 0}, an interval as the image of one under a
+        monotone map, and it holds both endpoints.  No term needs dropping:
+        an endpoint whose expansion ends at a_k has t = a_k, in the set as
+        a canonical last quotient is >= 2 when k > 0.
+        """
+        if max_terms is not None:
+            _require_int("max_terms", max_terms)
+            if max_terms < 0:
+                raise ValueError("max_terms must be >= 0")
+        prefix: list[int] = []
+        lo, hi, lo_den, hi_den = self.lo_num, self.hi_num, self.den, self.den
+        while lo_den and hi_den and len(prefix) != max_terms:
+            (a, lo_rem), (b, hi_rem) = divmod(lo, lo_den), divmod(hi, hi_den)
+            if a != b:
+                break
+            prefix.append(a)
+            lo, lo_den, hi, hi_den = lo_den, lo_rem, hi_den, hi_rem
+        return prefix
 
     # -- exact interval arithmetic -----------------------------------------
 
@@ -325,6 +352,8 @@ class PiPower(namedtuple("PiPower", "t s")):
     __slots__ = ()
 
     def __new__(cls, t: int, s: int = 1):
+        for name, value in zip(cls._fields, (t, s)):
+            _require_int(name, value)
         if s < 1:
             raise ValueError("root index s must be >= 1")
         g = gcd(abs(t), s)
@@ -340,6 +369,8 @@ class Surd(namedtuple("Surd", "a b d c")):
     __slots__ = ()
 
     def __new__(cls, a: int, b: int, d: int, c: int):
+        for name, value in zip(cls._fields, (a, b, d, c)):
+            _require_int(name, value)
         if c == 0:
             raise ValueError("surd denominator c must be nonzero")
         if b == 0:
@@ -708,7 +739,7 @@ def _spec_fx(spec: ConstantSpec, scale: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def sin_certified(x: CertifiedReal, budget: PrecisionBudget) -> CertifiedReal:
-    """Enclosure of sin over x, reduced modulo 2*pi at full precision.
+    """Enclosure of sin over x, reduced modulo pi at full precision.
 
     Midpoint-radius form: one kernel run at the midpoint c of the reduced
     interval, widened by the mean value theorem,
@@ -731,15 +762,12 @@ def sin_certified(x: CertifiedReal, budget: PrecisionBudget) -> CertifiedReal:
 
     pi = pi_interval(scale)
     x_lo, x_hi, pi_lo, pi_hi, den = _aligned(x, pi)
-    # r = x - 2k pi as twice its midpoint and its width, over den; tau is
+    # r = x - k pi as twice its midpoint and its width, over den; tau is
     # twice pi's midpoint
     mid, width, tau = x_lo + x_hi, x_hi - x_lo, pi_lo + pi_hi
-    # k nearest to x's midpoint over 2 pi's puts r's midpoint in [-pi, pi]
-    k = (mid + tau) // (2 * tau)
-    mid, width = mid - 2 * k * tau, width + 2 * abs(k) * (pi_hi - pi_lo)
-    if 2 * abs(mid) > tau:
-        # sin r = sin(pi - r) = sin(-pi - r) puts it in [-pi/2, pi/2]
-        mid, width = (tau if mid > 0 else -tau) - mid, width + pi_hi - pi_lo
+    # k nearest to x's midpoint over pi's: r's midpoint in [-pi/2, pi/2]
+    k = (2 * mid + tau) // (2 * tau)
+    mid, width = mid - k * tau, width + abs(k) * (pi_hi - pi_lo)
 
     d = 10 ** scale
     lo, hi = _sin_point_fx((mid, 2 * den), scale)
@@ -749,7 +777,8 @@ def sin_certified(x: CertifiedReal, budget: PrecisionBudget) -> CertifiedReal:
     cos_ulps = isqrt(d * d - least * least) + 1
     h_ulps = -(-width * d // (2 * den))
     slack = -(-h_ulps * (cos_ulps + h_ulps) // d)
-    return _iv(max(lo - slack, -d), min(hi + slack, d), d)
+    sin_r = _iv(max(lo - slack, -d), min(hi + slack, d), d)
+    return -sin_r if k % 2 else sin_r  # sin x = (-1)^k sin r
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Expansion tests: certified quotients, escalation, exact surd recurrence."""
 
+import re
 from fractions import Fraction
 from math import floor, isqrt
 
@@ -22,7 +23,6 @@ from cfcert import (
     surd_expand,
 )
 import cfcert.cf as cf
-from cfcert.cf import _euclid, _shared_prefix
 from cfcert.reals import DEFAULT_BUDGET, escalate
 
 from reference_data import PI2_QUOTIENTS_27
@@ -208,7 +208,7 @@ class TestSkippedLevels:
 
             def climb(b):
                 ladder.append((b.working,
-                               len(_shared_prefix(eval_constant(spec, b), most))))
+                               len(eval_constant(spec, b).partial_quotients(most))))
                 if ladder[-1][1] < most:
                     raise PrecisionError("short")
 
@@ -233,11 +233,11 @@ class TestCertify:
 
     def test_sufficient_budget(self):
         x = eval_constant(PiPower(2, 1), PrecisionBudget(60))
-        assert len(_shared_prefix(x, 27)) >= 27
+        assert len(x.partial_quotients(27)) >= 27
 
     def test_insufficient_budget(self):
         x = eval_constant(PiPower(2, 1), PrecisionBudget(5, guard=2))
-        assert len(_shared_prefix(x, 27)) < 27
+        assert len(x.partial_quotients(27)) < 27
 
     def test_exact_rational(self):
         # the whole terminating expansion, whatever the budget
@@ -286,7 +286,7 @@ class TestSharedPrefix:
     @given(rational_intervals(), st.integers(1, 25),
            st.lists(st.fractions(0, 1, max_denominator=10 ** 6), max_size=6))
     def test_every_rational_inside_starts_with_prefix(self, x, max_terms, ts):
-        prefix = _shared_prefix(x, max_terms)
+        prefix = x.partial_quotients(max_terms)
         lo_terms = canonical_expansion(x.lo)
         hi_terms = canonical_expansion(x.hi)
         common = []
@@ -305,13 +305,50 @@ class TestSharedPrefix:
     def test_endpoint_ending_inside_run(self):
         # 7/2 = [3; 2] ends where [3; 2, 1, 4] goes on
         x = CertifiedReal(fold([3, 2, 1, 4]), Fraction(7, 2))
-        assert _shared_prefix(x, 10) == [3, 2]
+        assert x.partial_quotients(10) == [3, 2]
         # the same with the short expansion at the lower end
         x = CertifiedReal(Fraction(17, 5), fold([3, 2, 2, 1, 4]))
-        assert _shared_prefix(x, 10) == [3, 2, 2]
+        assert x.partial_quotients(10) == [3, 2, 2]
         # [3; 1, 1] is canonically [3; 2], so the shared run is [3]
         x = CertifiedReal(Fraction(7, 2), fold([3, 1, 1, 4]))
-        assert _shared_prefix(x, 10) == [3]
+        assert x.partial_quotients(10) == [3]
+
+
+def euclid(num: int, den: int) -> list[int]:
+    """Plain Euclid on num/den, den > 0."""
+    terms = []
+    while den:
+        a, rem = divmod(num, den)
+        terms.append(a)
+        num, den = den, rem
+    return terms
+
+
+class TestPartialQuotientsQuery:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 12),
+                     st.integers(-10 ** 6, 10 ** 6).map(Fraction)))
+    @example(Fraction(0))
+    @example(Fraction(-7))
+    @example(Fraction(-1, 2))
+    def test_point_gives_its_canonical_expansion(self, r):
+        assert CertifiedReal.point(r).partial_quotients() == canonical_expansion(r)
+
+    def test_max_terms_cuts_the_expansion(self):
+        x = CertifiedReal.point(Fraction(355, 113))
+        assert x.partial_quotients(0) == []
+        assert x.partial_quotients(2) == [3, 7]
+        assert x.partial_quotients(3) == x.partial_quotients() == [3, 7, 16]
+
+    @pytest.mark.parametrize("max_terms", [True, False, 2.0, 2.5, "2"])
+    def test_max_terms_is_an_int(self, max_terms):
+        value = re.escape(repr(max_terms))
+        with pytest.raises(TypeError, match=f"^max_terms must be an int, not {value}$"):
+            CertifiedReal.point(Fraction(355, 113)).partial_quotients(max_terms)
+
+    def test_max_terms_is_not_negative(self):
+        with pytest.raises(ValueError, match="^max_terms must be >= 0$"):
+            CertifiedReal.point(1).partial_quotients(-1)
 
 
 class TestEuclidOnUnreducedRatios:
@@ -321,10 +358,10 @@ class TestEuclidOnUnreducedRatios:
     @settings(max_examples=200, deadline=None)
     @given(rational_intervals(), st.integers(1, 10 ** 30), st.integers(1, 25))
     def test_scaled_endpoints_give_the_same_quotients(self, x, factor, max_terms):
-        lowest = [list(_euclid(*end.as_integer_ratio())) for end in (x.lo, x.hi)]
+        lowest = [euclid(*end.as_integer_ratio()) for end in (x.lo, x.hi)]
         # both endpoints over their common denominator, times the factor
         den = x.lo.denominator * x.hi.denominator * factor
-        unreduced = [list(_euclid(end.numerator * (den // end.denominator), den))
+        unreduced = [euclid(end.numerator * (den // end.denominator), den)
                      for end in (x.lo, x.hi)]
         assert unreduced == lowest
         prefix = []
@@ -332,7 +369,7 @@ class TestEuclidOnUnreducedRatios:
             if a != b or len(prefix) == max_terms:
                 break
             prefix.append(a)
-        assert _shared_prefix(x, max_terms) == prefix
+        assert x.partial_quotients(max_terms) == prefix
 
 
 class TestLongExpansions:
@@ -350,7 +387,7 @@ class TestLongExpansions:
     def test_pi2_1040_terms_at_working_1120(self):
         # the longest expand in the deep benchmark needs no extra doubling
         x = eval_constant(PiPower(2, 1), PrecisionBudget(1110))
-        assert len(_shared_prefix(x, 1040)) >= 1040
+        assert len(x.partial_quotients(1040)) >= 1040
 
 
 class TestReconstruction:

@@ -251,6 +251,23 @@ class TestNegativeIndex:
             call([9, 1, 6])
 
 
+class TestIndexIsAnInt:
+    # True once ran as index 1 (two convergents, or Convergent(n=True, ...)),
+    # and a float index raised an unnamed slice TypeError
+    @pytest.mark.parametrize("index", [True, False, 1.0, 2.5, "1"])
+    @pytest.mark.parametrize("call", [
+        convergents_iter, convergents_matrix, convergents_fast,
+        lambda t, i: final_convergent(t, i, "iter"),
+        lambda t, i: final_convergent(t, i, "matrix"),
+        lambda t, i: final_convergent(t, i, "fast"),
+        telescoping_sum, lambda t, i: list(telescoping_sums(t, i)),
+    ], ids=["iter", "matrix", "fast", "final-iter", "final-matrix",
+            "final-fast", "telescoping", "telescoping-sums"])
+    def test_every_engine_refuses_it_by_name(self, call, index):
+        with pytest.raises(TypeError, match=f"^index must be an int, not {re.escape(repr(index))}$"):
+            call([1, 2, 3], index)
+
+
 class TestInvalidQuotients:
     every_entry_point = pytest.mark.parametrize("call", [
         lambda t: convergents_iter(t, len(t) - 1),

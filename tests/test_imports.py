@@ -4,9 +4,10 @@
   is exempt: its imports are the public API it re-exports.
 - Only ``reals.py`` reads CertifiedReal's integer fields ``lo_num``,
   ``hi_num`` and ``den``, so the representation is decided in one module;
-  the others use its methods.  The table rows use its integer queries
-  (``compare``, ``compare_width``, ``relative_width_at_most``, ``scaled``
-  and ``floor_log10``), and other code may read its Fraction views.
+  the others use its methods.  The table rows and ``expand`` use its
+  integer queries (``compare``, ``compare_width``,
+  ``relative_width_at_most``, ``scaled``, ``floor_log10`` and
+  ``partial_quotients``), and other code may read its Fraction views.
 - Every absolute import in the package names a standard-library module:
   the runtime has no dependencies, and mpmath stays a test-only oracle.
 - No module imports an underscore-prefixed name from another module of

@@ -1,6 +1,7 @@
 """Measure tests: mu_n, the q^(mu-2) column, and full table reproduction."""
 
 import io
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -114,6 +115,12 @@ class TestLagrange:
     def test_validation(self):
         with pytest.raises(ValueError):
             lagrange(0, Decimal("2"))
+
+    @pytest.mark.parametrize("q", [7.0, True, False, Decimal(7), "7"])
+    def test_q_is_an_int(self, q):
+        # 7.0 once raised AttributeError, and True gave 1.000000
+        with pytest.raises(TypeError, match=f"^q must be an int, not {re.escape(repr(q))}$"):
+            lagrange(q, 3)
 
     def test_bool_mu_refused(self):
         # True once read as mu = 1, giving 7^(1 - 2) = 0.142857

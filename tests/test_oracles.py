@@ -21,7 +21,6 @@ from cfcert import (
     pi_interval,
     sin_certified,
 )
-from cfcert.cf import _shared_prefix
 
 
 def e_root_pattern(n: int, terms: int) -> list[int]:
@@ -51,7 +50,7 @@ def e_seventh_root() -> CertifiedReal:
 def test_e_is_eulers_pattern(scale, least):
     x = exp_certified(CertifiedReal.point(1), scale)
     assert x.compare_width(4, 10 ** scale) <= 0
-    prefix = _shared_prefix(x, 10 ** 6)
+    prefix = x.partial_quotients(10 ** 6)
     assert len(prefix) >= least
     assert prefix == e_pattern(len(prefix))
 
@@ -59,7 +58,7 @@ def test_e_is_eulers_pattern(scale, least):
 def test_e_seventh_root_is_eulers_pattern():
     x = e_seventh_root()
     assert x.compare_width(4, 10 ** 2000) <= 0
-    prefix = _shared_prefix(x, 10 ** 6)
+    prefix = x.partial_quotients(10 ** 6)
     assert len(prefix) >= 860
     assert prefix[:8] == [1, 6, 1, 1, 20, 1, 1, 34]
     assert prefix == e_root_pattern(7, len(prefix))
@@ -94,7 +93,7 @@ def tanh_pattern(m: int, terms: int) -> list[int]:
 def test_tanh_of_one_over_m_is_lamberts_pattern(m, least):
     # tanh(1/m) = (E - 1) / (E + 1) with E = e^(2/m)
     e = exp_certified(CertifiedReal.point(Fraction(2, m)), 2000)
-    prefix = _shared_prefix((e - 1) / (e + 1), 10 ** 6)
+    prefix = ((e - 1) / (e + 1)).partial_quotients(10 ** 6)
     assert len(prefix) >= least
     assert prefix == tanh_pattern(m, len(prefix))
 

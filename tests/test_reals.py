@@ -2,6 +2,7 @@
 
 import copy
 import operator
+import re
 from dataclasses import FrozenInstanceError
 from decimal import Decimal
 from fractions import Fraction
@@ -498,6 +499,24 @@ class TestCountsAreInts:
         with pytest.raises(TypeError):
             pi_interval(10.5)
         assert pi_interval(10).lo == Fraction(31415926535, 10 ** 10)
+
+
+class TestSpecFieldsAreInts:
+    """A spec's integer fields are ints, checked before their values:
+    Surd(Fraction(1, 2), 1, 2, 1) once expanded to (1, 1, 1, 1, 1),
+    though 1/2 + sqrt 2 = [1; 1, 10, 1, ...], and a float c to floats."""
+
+    @pytest.mark.parametrize("cls, args, field", [
+        (PiPower, (True,), "t"), (PiPower, (2.0,), "t"), (PiPower, (Fraction(2),), "t"),
+        (PiPower, (1, True), "s"), (PiPower, (1, 0.0), "s"), (PiPower, (1, "2"), "s"),
+        (Surd, (Fraction(1, 2), 1, 2, 1), "a"), (Surd, (0, 0.0, 2, 1), "b"),
+        (Surd, (0, 1, 2.0, 1), "d"), (Surd, (0, 1, Decimal(-3), 1), "d"),
+        (Surd, (0, 1, 2, 1.0), "c"), (Surd, (0, 1, 2, True), "c"),
+    ])
+    def test_refused_with_the_field_named(self, cls, args, field):
+        value = re.escape(repr(args[cls._fields.index(field)]))
+        with pytest.raises(TypeError, match=f"^{field} must be an int, not {value}$"):
+            cls(*args)
 
 
 class TestEscalate:

@@ -5,7 +5,7 @@ Each flag and printed cell of a measure, probe or verify row is decided by
 earlier formulations on the lowest-terms Fraction views (``lo``, ``hi``,
 ``width``); hypothesis compares the two on unreduced intervals with
 negative and zero endpoints and exact ties.  The count test checks that
-the row builders construct no Fraction per row.
+the row builders construct no Fraction per row, and expand none at all.
 """
 
 import math
@@ -373,6 +373,14 @@ def test_no_fraction_per_row(alpha, monkeypatch):
             counts[name, rows] = fractions_built(run)
     for name in ("measure", "probe", "verify"):
         assert counts[name, 80] == counts[name, 40], name
+
+
+@pytest.mark.parametrize("alpha, terms", [(PiPower(2, 1), 1016), (PiPower(-2, 3), 500),
+                                          (Surd(0, 1, 199, 1), 1000)],
+                         ids=["pi2", "pi^-2/3", "sqrt:199"])
+def test_expand_builds_no_fraction(alpha, terms):
+    # Euclid runs on the enclosure's own integers, not on its Fraction views
+    assert fractions_built(lambda: expand(alpha, terms)) == 0
 
 
 def test_fraction_count_sees_fractions():
