@@ -36,6 +36,9 @@ class PartialQuotients:
     __slots__ = ("terms", "terminated")
 
     def __init__(self, terms: tuple[int, ...], terminated: bool = False):
+        if not {*map(type, terms)} <= {int}:
+            k = next(k for k, a in enumerate(terms) if type(a) is not int)
+            raise TypeError(f"quotient {k} must be an int, not {terms[k]!r}")
         if not terms:
             raise ValueError("empty expansion")
         if any(a < 1 for a in terms[1:]):

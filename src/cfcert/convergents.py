@@ -50,6 +50,10 @@ class Convergent(namedtuple("Convergent", "n p q")):
     __slots__ = ()
 
     def __new__(cls, n: int, p: int, q: int):
+        if not type(n) is type(p) is type(q) is int:
+            for name, value in zip(cls._fields, (n, p, q)):
+                if type(value) is not int:
+                    raise TypeError(f"{name} must be an int, not {value!r}")
         if q < 1:
             raise ValueError("denominator must be positive")
         return super().__new__(cls, n, p, q)
@@ -75,6 +79,8 @@ class Mat2(namedtuple("Mat2", "m00 m01 m10 m11")):
 
     @classmethod
     def quotient(cls, a: int) -> "Mat2":
+        if type(a) is not int:
+            raise TypeError(f"a must be an int, not {a!r}")
         return cls(a, 1, 1, 0)
 
     def mul(self, other: "Mat2", counter: WorkCounter | None = None) -> "Mat2":

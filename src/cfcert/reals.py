@@ -77,6 +77,12 @@ class PrecisionBudget(namedtuple("PrecisionBudget", "digits guard cap")):
 DEFAULT_BUDGET = PrecisionBudget(60)  # default start of escalation and of --digits
 
 
+def _require_budget(budget) -> None:
+    """TypeError unless ``budget`` is a PrecisionBudget."""
+    if not isinstance(budget, PrecisionBudget):
+        raise TypeError(f"budget must be a PrecisionBudget, not {budget!r}")
+
+
 def escalate(attempt: Callable[[PrecisionBudget], object], budget: PrecisionBudget):
     """``attempt(budget)``, rerun with the working precision doubled (guard
     and cap kept) after each PrecisionError.
@@ -85,6 +91,7 @@ def escalate(attempt: Callable[[PrecisionBudget], object], budget: PrecisionBudg
     ``cap``, raises one PrecisionError with the last attempt's message and
     ``certified_count`` plus the working precision reached.
     """
+    _require_budget(budget)
     while True:
         try:
             return attempt(budget)
@@ -391,6 +398,8 @@ class DecimalLiteral(namedtuple("DecimalLiteral", "text")):
     __slots__ = ()
 
     def __new__(cls, text: str):
+        if not isinstance(text, str):
+            raise TypeError(f"text must be a str, not {text!r}")
         if not _DECIMAL_RE.fullmatch(text):
             raise ValueError(f"not a finite decimal literal: {text!r}")
         return super().__new__(cls, text)
@@ -640,16 +649,6 @@ def _exp_point_fx(y: tuple[int, int], scale: int) -> tuple[int, int]:
     return _directed(e[0] << max(j, 0), e[1] << max(j, 0), 10 ** 12 << max(-j, 0))
 
 
-def _root_point_fx(x: tuple[int, int], scale: int, k: int) -> tuple[int, int]:
-    """Floor/ceil pair for the k-th root of an exact positive rational."""
-    if x[0] <= 0:
-        raise ValueError("root of non-positive value")
-    n = x[0] * 10 ** (k * scale) // x[1]
-    r = _iroot(n, k)
-    # r^k <= n <= x 10^(ks) < n + 1 <= (r + 1)^k: the root lies in [r, r + 1)
-    return r, r + 1
-
-
 # ---------------------------------------------------------------------------
 # public constant evaluation
 # ---------------------------------------------------------------------------
@@ -668,6 +667,7 @@ def eval_constant(spec: ConstantSpec, budget: PrecisionBudget) -> CertifiedReal:
     fixed by (spec, budget) alone.  Raises PrecisionError if that scale
     exceeds the budget cap.
     """
+    _require_budget(budget)
     exact = exact_value(spec)
     if exact is not None:
         return CertifiedReal.point(exact)
@@ -715,23 +715,26 @@ def residual(alpha: ConstantSpec, conv, budget: PrecisionBudget) -> CertifiedRea
 
 
 def _spec_fx(spec: ConstantSpec, scale: int) -> tuple[int, int]:
-    """Directed pair of an irrational spec at ``scale``, a few ulps wide."""
+    """Directed pair of an irrational spec at ``scale``, a few ulps wide,
+    formed on integers alone."""
+    d = 10 ** scale
     if isinstance(spec, PiPower):
-        t = abs(spec.t)
-        # pi^t widens pi's one-ulp cell to t pi^(t-1) < 10^t ulps
-        pi = pi_interval(scale + t)
-        # positive base: endpoint powers and roots are directed automatically
-        lo, _ = _root_point_fx((pi.lo_num ** t, pi.den ** t), scale, spec.s)
-        _, hi = _root_point_fx((pi.hi_num ** t, pi.den ** t), scale, spec.s)
-        x = _iv(lo, hi, 10 ** scale)
-        if spec.t < 0:
-            x = x.reciprocal()
-    elif isinstance(spec, Surd):
-        rt = _iv(*_root_point_fx((spec.d, 1), scale, 2), 10 ** scale)
-        x = (rt * spec.b + spec.a) / spec.c
-    else:
-        raise TypeError(f"unsupported constant spec: {spec!r}")
-    return _directed(x.lo_num * 10 ** scale, x.hi_num * 10 ** scale, x.den)
+        t, s = abs(spec.t), spec.s
+        # pi^t widens pi's one-ulp cell to t pi^(t-1) < 10^t ulps.  At its
+        # positive ends f, n = floor(f^t 10^e) = floor(y 10^(s scale)) for
+        # y = f^t / 10^(t (scale+t)), and r^s <= n < (r + 1)^s puts y^(1/s)
+        # in [r, r + 1) ulps
+        e = s * scale - t * (scale + t)
+        lo, hi = (_iroot(f ** t * 10 ** e if e >= 0 else f ** t // 10 ** -e, s)
+                  for f in _cell(scale + t, _pi_fx))
+        # pi^-(t/s) in [d/(hi + 1), d/lo]: d^2/(hi + 1), d^2/lo ulps outward
+        return (d * d // (hi + 1), -(-d * d // lo)) if spec.t < 0 else (lo, hi + 1)
+    if isinstance(spec, Surd):
+        # sqrt(spec.d) in [r, r + 1] ulps, and (a + b x)/c is monotone in x
+        r, sign = isqrt(spec.d * d * d), 1 if spec.c > 0 else -1
+        return _directed(*sorted(sign * (spec.b * x + spec.a * d) for x in (r, r + 1)),
+                         abs(spec.c))
+    raise TypeError(f"unsupported constant spec: {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +749,7 @@ def sin_certified(x: CertifiedReal, budget: PrecisionBudget) -> CertifiedReal:
     |sin(c + h) - sin c| <= |h| (|cos c| + |h|), with |h| at most the
     reduced interval's half-width (that of x plus the reduction error).
     """
+    _require_budget(budget)
     if x.is_zero():
         return CertifiedReal.point(0)
 

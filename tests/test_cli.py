@@ -21,6 +21,7 @@ import cfcert.probe as probe
 import cfcert.reals as reals
 from cfcert import (
     CertifiedReal,
+    PartialQuotients,
     PrecisionBudget,
     PrecisionError,
     bound_check,
@@ -267,6 +268,58 @@ class TestVerifyCommand:
         assert code == 0 and "FAIL" not in out
         assert len(args) == 29  # rows 1..29, each checked against its successor
         assert all(abs(x).hi < 1 for x in args)
+
+
+def _shifted_surd_term(surd_expand):
+    def faulty(spec, n):
+        sx = surd_expand(spec, n)
+        terms = list(sx.quotients.terms)
+        terms[3] += 1
+        return sx._replace(quotients=PartialQuotients(tuple(terms)))
+    return faulty
+
+
+def _shifted_pair(telescoping_sums):
+    def faulty(quotients, upto):
+        for i, (n, q) in enumerate(telescoping_sums(quotients, upto)):
+            yield n + (i == 7), q
+    return faulty
+
+
+def _flipped_flag(index, flag):
+    def wrap(bound_check):
+        def faulty(spec, convs, budget):
+            flags = [list(f) for f in bound_check(spec, convs, budget)]
+            flags[index][flag] = False
+            return [tuple(f) for f in flags]
+        return faulty
+    return wrap
+
+
+@pytest.mark.parametrize("constant, name, fault, line", [
+    ("golden", "surd_expand", _shifted_surd_term,
+     "surd exact/interval agreement: FAIL"),
+    ("pi2", "check_determinant", lambda _: lambda convs: False,
+     "determinant identity: FAIL"),
+    # the telescoping line names the 0-based convergent index
+    ("pi2", "telescoping_sums", _shifted_pair,
+     "telescoping identity: FAIL (first failure at n=7)"),
+    ("pi2", "convergents_fast",
+     lambda fast: lambda quotients, n: fast(quotients, n)._replace(q=1),
+     "engine equivalence: FAIL"),
+    # the bound lines name the 1-based row, convs[n - 1]
+    ("pi2", "bound_check", _flipped_flag(4, 0),
+     "residual bounds: FAIL (first failure at n=5)"),
+    ("pi2", "bound_check", _flipped_flag(2, 2), "sine envelope: FAIL (violated at n=3)"),
+], ids=["surd", "determinant", "telescoping", "engines", "bounds", "envelope"])
+def test_verify_fail_lines(monkeypatch, constant, name, fault, line):
+    monkeypatch.setattr(cli, name, fault(getattr(cli, name)))
+    code, out = run_cli("verify", constant, "--terms", "20")
+    assert code == 1
+    checks = [text for text in out.splitlines() if not text.startswith("note: ")]
+    assert len(checks) == (6 if constant == "golden" else 5)
+    assert line in checks
+    assert all(text.endswith(": PASS") for text in checks if text != line)
 
 
 @pytest.mark.parametrize("command", ["probe", "verify"])

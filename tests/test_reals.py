@@ -17,18 +17,27 @@ from hypothesis import strategies as st
 import cfcert.reals as reals
 from cfcert import (
     CertifiedReal,
+    Convergent,
     DecimalLiteral,
+    Mat2,
+    PartialQuotients,
     PiPower,
     PrecisionBudget,
     PrecisionError,
     Surd,
+    bound_check,
+    envelope_check,
     eval_constant,
     expand,
     fib_power,
     lagrange,
     measure_table,
+    mu_n,
     mu_table,
+    probe_table,
+    residual,
     sin_certified,
+    sine_probe,
     surd_expand,
 )
 from cfcert.reals import (
@@ -519,6 +528,64 @@ class TestSpecFieldsAreInts:
             cls(*args)
 
 
+PI2_CONVS = [Convergent(0, 9, 1), Convergent(1, 10, 1), Convergent(2, 69, 7)]
+
+BUDGET_ARGUMENTS = [
+    lambda b: escalate(lambda level: level, b),
+    lambda b: eval_constant(PiPower(2), b),
+    lambda b: eval_constant(DecimalLiteral("0.5"), b),
+    lambda b: sin_certified(CertifiedReal.point(1), b),
+    lambda b: sin_certified(CertifiedReal.point(0), b),
+    lambda b: expand(PiPower(2), 5, b),
+    lambda b: expand(DecimalLiteral("0.5"), 5, b),
+    lambda b: residual(PiPower(2), PI2_CONVS[2], b),
+    lambda b: mu_n(PiPower(2), PI2_CONVS[2], b),
+    lambda b: mu_table(PiPower(2), 3, b),
+    lambda b: measure_table(PiPower(2), 3, b),
+    lambda b: sine_probe(PiPower(2), PI2_CONVS[2], b),
+    lambda b: probe_table(PiPower(2), PI2_CONVS, b),
+    lambda b: bound_check(PiPower(2), PI2_CONVS, b),
+    lambda b: envelope_check(CertifiedReal.point(1), b),
+    lambda b: envelope_check(CertifiedReal.point(0), b),
+]
+
+
+class TestArgumentTypes:
+    """Each public entry point names the argument of a wrong type, where an
+    int budget once raised "'int' object has no attribute 'working'" and a
+    float quotient built a float matrix."""
+
+    @pytest.mark.parametrize("budget", [60, (60, 10, 10 ** 6), "60"])
+    @pytest.mark.parametrize("call", BUDGET_ARGUMENTS, ids=[
+        "escalate", "eval_constant", "eval_constant-exact", "sin_certified",
+        "sin_certified-zero", "expand", "expand-exact", "residual", "mu_n",
+        "mu_table", "measure_table", "sine_probe", "probe_table", "bound_check",
+        "envelope_check", "envelope_check-zero"])
+    def test_budget_is_a_precision_budget(self, call, budget):
+        value = re.escape(repr(budget))
+        with pytest.raises(TypeError, match=f"^budget must be a PrecisionBudget, not {value}$"):
+            call(budget)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: DecimalLiteral(0.5), "text must be a str, not 0.5"),
+        (lambda: DecimalLiteral(Decimal("0.5")), "text must be a str, not Decimal('0.5')"),
+        (lambda: Mat2.quotient(1.5), "a must be an int, not 1.5"),
+        (lambda: Mat2.quotient(True), "a must be an int, not True"),
+        (lambda: PartialQuotients((1, 2.5)), "quotient 1 must be an int, not 2.5"),
+        (lambda: PartialQuotients((True, 2)), "quotient 0 must be an int, not True"),
+        (lambda: PartialQuotients((1, 2, 0.0)), "quotient 2 must be an int, not 0.0"),
+        (lambda: Convergent(1.5, 2, 3), "n must be an int, not 1.5"),
+        (lambda: Convergent(0, Fraction(2), 3), "p must be an int, not Fraction(2, 1)"),
+        (lambda: Convergent(0, 2, True), "q must be an int, not True"),
+        (lambda: Convergent(0, 2, 0.0), "q must be an int, not 0.0"),
+    ], ids=["literal-float", "literal-decimal", "quotient-float", "quotient-bool",
+            "quotients-float", "quotients-bool", "quotients-zero-float",
+            "convergent-n", "convergent-p", "convergent-q-bool", "convergent-q-float"])
+    def test_refused_with_the_argument_named(self, call, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 class TestEscalate:
     def test_returns_first_success(self):
         seen = []
@@ -637,17 +704,64 @@ class TestIntegerRoots:
             for n in (2 ** e - 1, 2 ** e + 1):
                 assert reals._iroot(n, k) == ref_iroot(n, k)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.fractions(Fraction(1, 10 ** 30), 10 ** 30, max_denominator=10 ** 30),
-           st.integers(1, 9), st.integers(0, 200))
-    @example(Fraction(10 ** 6 - 1, 10 ** 6), 3, 2)
-    @example(Fraction(8), 3, 0)
-    def test_root_point_is_the_one_ulp_cell(self, x, k, scale):
-        # r^k den <= num 10^(ks) < (r + 1)^k den: x^(1/k) 10^s lies in [r, r + 1)
-        num, den = x.as_integer_ratio()
-        r, r1 = reals._root_point_fx((num, den), scale, k)
-        assert r1 == r + 1
-        assert r ** k * den <= num * 10 ** (k * scale) < (r + 1) ** k * den
+
+# -- the interval path that evaluated specs before the integer form -------
+
+def ref_root_point_fx(x, scale, k):
+    if x[0] <= 0:
+        raise ValueError("root of non-positive value")
+    r = reals._iroot(x[0] * 10 ** (k * scale) // x[1], k)
+    return r, r + 1
+
+
+def ref_spec_fx(spec, scale):
+    if isinstance(spec, PiPower):
+        t = abs(spec.t)
+        pi = pi_interval(scale + t)
+        lo, _ = ref_root_point_fx((pi.lo_num ** t, pi.den ** t), scale, spec.s)
+        _, hi = ref_root_point_fx((pi.hi_num ** t, pi.den ** t), scale, spec.s)
+        x = reals._iv(lo, hi, 10 ** scale)
+        if spec.t < 0:
+            x = x.reciprocal()
+    else:
+        rt = reals._iv(*ref_root_point_fx((spec.d, 1), scale, 2), 10 ** scale)
+        x = (rt * spec.b + spec.a) / spec.c
+    return reals._directed(x.lo_num * 10 ** scale, x.hi_num * 10 ** scale, x.den)
+
+
+nonzero = st.integers(-10 ** 6, 10 ** 6).filter(bool)
+irrational_specs = st.one_of(
+    st.builds(PiPower, st.integers(-12, 12).filter(bool), st.integers(1, 9)),
+    st.builds(Surd, st.integers(-10 ** 6, 10 ** 6), nonzero,
+              st.integers(2, 10 ** 30 + 1).filter(lambda d: isqrt(d) ** 2 != d),
+              nonzero),
+)
+
+
+class TestSpecPairs:
+    @settings(max_examples=150, deadline=None)
+    @given(irrational_specs, st.integers(1, 300))
+    @example(PiPower(7, 4), 4416)
+    @example(PiPower(5, 3), 4416)
+    @example(PiPower(-2, 3), 4416)
+    @example(Surd(-5, 2, 3, -7), 1)
+    @example(Surd(0, 1, 10 ** 30 + 1, 1), 300)
+    def test_equal_to_the_interval_path(self, spec, scale):
+        assert reals._spec_fx(spec, scale) == ref_spec_fx(spec, scale)
+
+    @pytest.mark.parametrize("spec", [PiPower(7, 4), PiPower(-5, 3), PiPower(2),
+                                      Surd(1, 1, 5, 2), Surd(-5, 2, 3, -7)])
+    def test_builds_no_interval(self, monkeypatch, spec):
+        monkeypatch.setattr(reals, "_KEPT", {})  # pi's cell from its kernel
+        built, iv = [], reals._iv
+
+        def counted(*args):
+            built.append(args)
+            return iv(*args)
+
+        monkeypatch.setattr(reals, "_iv", counted)
+        reals._spec_fx(spec, 500)
+        assert built == []
 
 
 # -- the Fraction-endpoint formulas that the integer form replaced ---------
