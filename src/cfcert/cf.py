@@ -39,6 +39,8 @@ class PartialQuotients:
         if not {*map(type, terms)} <= {int}:
             k = next(k for k, a in enumerate(terms) if type(a) is not int)
             raise TypeError(f"quotient {k} must be an int, not {terms[k]!r}")
+        if type(terminated) is not bool:
+            raise TypeError(f"terminated must be a bool, not {terminated!r}")
         if not terms:
             raise ValueError("empty expansion")
         if any(a < 1 for a in terms[1:]):

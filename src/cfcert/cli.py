@@ -7,12 +7,12 @@ a fixed configuration.
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
 import time
 from functools import partial
+from types import SimpleNamespace
 
 from .cf import expand, surd_expand
 from .convergents import (
@@ -272,7 +272,34 @@ def _help_width() -> int:
     return columns - 2
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# One entry per sub-command: name, handler, help and flags, which both
+# _build_parser and _parse read.  A flag is (spellings, convert, default,
+# help): convert is int or the tuple of the flag's choices, and the flag
+# is stored under its first spelling without the dashes.
+_CONSTANT_HELP = "pi, pi2, pi3, pi^t/s, sqrt:d, surd:a,b,d,c, lit:x, golden"
+_TERMS = (("--terms", "--rows", "-n"), int, 30, "terms / table rows (default 30)")
+_DIGITS = (("--digits",), int, DEFAULT_BUDGET.digits,
+           "significant digits, plus guard digits, of every residual: where "
+           "precision starts, not what is printed (default %(default)s)")
+_FORMAT = (("--format",), ("text", "csv"), "text", None)
+_COMMANDS = (
+    ("expand", _cmd_expand, "certified partial quotients", (_TERMS, _FORMAT)),
+    ("convergents", _cmd_convergents, "convergents p_n/q_n",
+     (_TERMS, (("--engine",), _ENGINES, "iter", None), _FORMAT)),
+    ("measure", _cmd_measure, "irrationality-measure table",
+     (_TERMS, _DIGITS, (("--format",), ("text", "csv", "plot"), "text", None))),
+    ("probe", _cmd_probe, "residual and sine-probe table", (_TERMS, _DIGITS, _FORMAT)),
+    ("verify", _cmd_verify, "identity and bound checks", (_TERMS, _DIGITS)),
+    ("bench", _cmd_bench, "engine benchmark on exact quotients",
+     (_TERMS, (("--seed",), int, None, None))),
+)
+
+
+def _build_parser():
+    """The argparse parser of ``_COMMANDS``: the one renderer of help and
+    usage errors, and the parser of every line that ``_parse`` declines."""
+    import argparse  # a well-formed command line never needs it
+
     formatter = partial(argparse.HelpFormatter, width=_help_width())
     parser = argparse.ArgumentParser(
         prog="cfcert",
@@ -281,46 +308,61 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, help, *flags, formats=("text", "csv")):
+    for name, handler, help, flags in _COMMANDS:
         p = sub.add_parser(name, help=help, formatter_class=formatter)
         p.set_defaults(handler=handler)
-        p.add_argument("constant", help="pi, pi2, pi3, pi^t/s, sqrt:d, "
-                                        "surd:a,b,d,c, lit:x, golden")
-        p.add_argument("--terms", "--rows", "-n", dest="terms", type=int,
-                       default=30, help="terms / table rows (default 30)")
-        if "--digits" in flags:
-            p.add_argument("--digits", type=int, default=DEFAULT_BUDGET.digits,
-                           help="significant digits, plus guard digits, of every "
-                                "residual: where precision starts, not what is "
-                                "printed (default %(default)s)")
-        if "--engine" in flags:
-            p.add_argument("--engine", choices=_ENGINES, default="iter")
-        if "--format" in flags:
-            p.add_argument("--format", choices=formats, default="text")
-        if "--seed" in flags:
-            p.add_argument("--seed", type=int, default=None)
-
-    command("expand", _cmd_expand, "certified partial quotients", "--format")
-    command("convergents", _cmd_convergents, "convergents p_n/q_n",
-            "--engine", "--format")
-    command("measure", _cmd_measure, "irrationality-measure table",
-            "--digits", "--format", formats=("text", "csv", "plot"))
-    command("probe", _cmd_probe, "residual and sine-probe table",
-            "--digits", "--format")
-    command("verify", _cmd_verify, "identity and bound checks", "--digits")
-    command("bench", _cmd_bench, "engine benchmark on exact quotients", "--seed")
+        p.add_argument("constant", help=_CONSTANT_HELP)
+        for spellings, convert, default, text in flags:
+            kind = {"type": int} if convert is int else {"choices": convert}
+            p.add_argument(*spellings, dest=spellings[0][2:], default=default,
+                           help=text, **kind)
     return parser
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that ``_build_parser().parse_args(argv)`` returns, for
+    a line of one shape: an exact command name, a constant that does not
+    start with '-', then pairs of an exact flag spelling of that command
+    and its value, the last repeat winning.  An int value is ASCII digits
+    within the int-str limit; a choice is one of the flag's choices.
+
+    None for every other line (help, abbreviations, '=' or glued values,
+    '--', flags before the constant, values starting with '-'), which
+    argparse then parses or refuses with its own messages.
+    """
+    command = next((c for c in _COMMANDS if c[0] == argv[0]), None) if argv else None
+    if command is None or len(argv) % 2 or argv[1].startswith("-"):
+        return None
+    name, handler, _, flags = command
+    spelled = {spelling: flag for flag in flags for spelling in flag[0]}
+    values = {spellings[0][2:]: default for spellings, _, default, _ in flags}
+    for spelling, text in zip(argv[2::2], argv[3::2]):
+        if spelling not in spelled:
+            return None
+        spellings, convert, _, _ = spelled[spelling]
+        if convert is int and text.isascii() and text.isdigit():
+            try:
+                value = int(text)
+            except ValueError:  # past the int-str limit, which argparse refuses
+                return None
+        elif convert is not int and text in convert:
+            value = text
+        else:
+            return None
+        values[spellings[0][2:]] = value
+    return SimpleNamespace(command=name, handler=handler, constant=argv[1], **values)
 
 
 def run(argv: list[str] | None = None, out=None) -> int:
     """Dispatch a command line; returns the process exit code."""
     out = out or sys.stdout
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     # exact integers print at any size; the old limit is back on return
     str_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if str_limit is not None:

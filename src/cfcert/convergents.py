@@ -73,6 +73,13 @@ class Mat2(namedtuple("Mat2", "m00 m01 m10 m11")):
 
     __slots__ = ()
 
+    def __new__(cls, m00: int, m01: int, m10: int, m11: int):
+        if not type(m00) is type(m01) is type(m10) is type(m11) is int:
+            for name, value in zip(cls._fields, (m00, m01, m10, m11)):
+                if type(value) is not int:
+                    raise TypeError(f"{name} must be an int, not {value!r}")
+        return super().__new__(cls, m00, m01, m10, m11)
+
     @classmethod
     def identity(cls) -> "Mat2":
         return cls(1, 0, 0, 1)

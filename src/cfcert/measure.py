@@ -66,6 +66,8 @@ def mu_n(alpha: ConstantSpec, conv: Convergent,
     and double up to max(working, 7) + 4; past that, PrecisionError, and
     callers escalate.
     """
+    if not isinstance(conv, Convergent):
+        raise TypeError(f"conv must be a Convergent, not {conv!r}")
     if conv.q == 1:
         return None
     eps = residual(alpha, conv, budget)

@@ -88,6 +88,8 @@ def envelope_check(z: CertifiedReal, budget: PrecisionBudget | None = None) -> b
     so an enclosure of the sharp point itself is accepted.  Returns False
     only on a certified violation, which cannot occur inside the domain.
     """
+    if not isinstance(z, CertifiedReal):
+        raise TypeError(f"z must be a CertifiedReal, not {z!r}")
     if budget is not None and not isinstance(budget, PrecisionBudget):
         raise TypeError(f"budget must be a PrecisionBudget, not {budget!r}")
     if z.is_zero():

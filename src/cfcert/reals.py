@@ -18,6 +18,8 @@ from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, log
 
+from .convergents import Convergent
+
 DEFAULT_PRECISION_CAP = 1_000_000
 
 _DECIMAL_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
@@ -81,6 +83,12 @@ def _require_budget(budget) -> None:
     """TypeError unless ``budget`` is a PrecisionBudget."""
     if not isinstance(budget, PrecisionBudget):
         raise TypeError(f"budget must be a PrecisionBudget, not {budget!r}")
+
+
+def _require_real(name: str, value) -> None:
+    """TypeError naming the argument unless ``value`` is a CertifiedReal."""
+    if not isinstance(value, CertifiedReal):
+        raise TypeError(f"{name} must be a CertifiedReal, not {value!r}")
 
 
 def escalate(attempt: Callable[[PrecisionBudget], object], budget: PrecisionBudget):
@@ -687,17 +695,20 @@ def _cell_scale(spec: ConstantSpec, budget: PrecisionBudget) -> int:
     return budget.working + 8 + (abs(spec.t) if isinstance(spec, PiPower) else 0)
 
 
-def residual(alpha: ConstantSpec, conv, budget: PrecisionBudget) -> CertifiedReal:
-    """The residual eps = q alpha - p of a convergent ``conv`` (integers
-    ``p`` and ``q``) to ``budget.working`` significant digits, escalating
-    from ``budget``: width <= |eps| 10^-(working+1), below 10^-working of
-    its leading digit, which no enclosure straddling zero meets.
+def residual(alpha: ConstantSpec, conv: Convergent,
+             budget: PrecisionBudget) -> CertifiedReal:
+    """The residual eps = q alpha - p of a convergent ``conv`` p/q to
+    ``budget.working`` significant digits, escalating from ``budget``:
+    width <= |eps| 10^-(working+1), below 10^-working of its leading
+    digit, which no enclosure straddling zero meets.
 
     Starts at the first escalation level that can hold them: for a
     convergent |eps| < 1/q, and at a level whose cell of alpha is 10^-s
     wide eps is q 10^-s wide, so a level with q^2 10^(working+1) >= 10^s
     fails without forming eps.
     """
+    if not isinstance(conv, Convergent):
+        raise TypeError(f"conv must be a Convergent, not {conv!r}")
     irrational = exact_value(alpha) is None
 
     def attempt(b: PrecisionBudget) -> CertifiedReal:
@@ -749,6 +760,7 @@ def sin_certified(x: CertifiedReal, budget: PrecisionBudget) -> CertifiedReal:
     |sin(c + h) - sin c| <= |h| (|cos c| + |h|), with |h| at most the
     reduced interval's half-width (that of x plus the reduction error).
     """
+    _require_real("x", x)
     _require_budget(budget)
     if x.is_zero():
         return CertifiedReal.point(0)
@@ -796,6 +808,7 @@ def sin_certified(x: CertifiedReal, budget: PrecisionBudget) -> CertifiedReal:
 def ln_certified(x: CertifiedReal, scale: int) -> CertifiedReal:
     """Enclosure of ln over a certainly-positive interval, however wide:
     |ln(c + t) - ln c| <= h / lo for |t| <= h."""
+    _require_real("x", x)
     _require_int("scale", scale)
     if not x.certainly_positive():
         raise PrecisionError("ln needs an interval certified positive")
@@ -809,6 +822,7 @@ def exp_certified(y: CertifiedReal, scale: int) -> CertifiedReal:
     """Enclosure of exp over an interval with both ends in [-scale ln 10,
     scale ln 10] (else PrecisionError): |exp(c + t) - exp c| <= h exp(c) e^h
     for |t| <= h, where e^h <= 2^ceil(2h) as ln 2 > 1/2."""
+    _require_real("y", y)
     _require_int("scale", scale)
     bound, unit = (scale * log(10)).as_integer_ratio()
     if max(-y.lo_num, y.hi_num) * unit > bound * y.den:

@@ -10,10 +10,13 @@ import shutil
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cfcert.cli as cli
 import cfcert.measure as measure
@@ -544,6 +547,10 @@ HELP_SHA256_PY311 = {
                      "098d91379d613ac6053b0c56361f5c79459e5fa5cf2b9e07f4440fb4bc6c0606"),
     "expand": (2, "err",
                "5a3113bb0101fd197cbaa3acfd6af5e0c9344f01f0ee19328f4ef790f9bf5ca6"),
+    "expand pi2 -h": (0, "out",
+                      "c222e036e20b0b93d6f14ea82089a8d918070cefdcbcfa31ed0cb54a212112fd"),
+    "measure pi2 --rows 3 --help": (
+        0, "out", "fc0475b07df2b0191557a8883148c09a2e8bf771058aebc6b7519748b0813fc4"),
 }
 
 
@@ -604,3 +611,140 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0
         assert "expand" in proc.stdout and "bench" in proc.stdout
+
+
+TERMS = ["--terms", "--rows", "-n"]
+# each command's exact flag spellings
+FLAGS = {"expand": TERMS + ["--format"],
+         "convergents": TERMS + ["--engine", "--format"],
+         "measure": TERMS + ["--digits", "--format"],
+         "probe": TERMS + ["--digits", "--format"],
+         "verify": TERMS + ["--digits"],
+         "bench": TERMS + ["--seed"]}
+# abbreviations, '='-joined and glued values, help, the end of options,
+# unknown flags and flags of other commands
+ODD_FLAGS = ["--ter", "--row", "--dig", "--form", "--eng", "--se", "--terms=5",
+             "--format=csv", "-n5", "-n=5", "-h", "--help", "--", "-x", "--nosuch",
+             "--digits", "--engine", "--format", "--seed"]
+INTS = ["1", "5", "30", "007", "0"]
+CHOICES = ["text", "csv", "plot", "iter", "matrix", "fast"]
+ODD_VALUES = ["+5", "-5", "٥", "５", " 5", "5 ", "1_0", "5.0", "", "x",
+              "7" * 5000, "warp", "TEXT", "-csv", "-1"]
+CONSTANTS = ["pi2", "golden", "random", "pi^-2/3", ""]
+ODD_CONSTANTS = ["-pi2", "-5", "--terms", "-h"]
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A well-formed line of one command, then as often as not an odd
+    token put in, in place of another or at its end."""
+    command = draw(st.sampled_from(list(FLAGS)))
+    argv = [command, draw(st.sampled_from(CONSTANTS))]
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(st.sampled_from(FLAGS[command]))
+        values = CHOICES if flag in ("--engine", "--format") else INTS
+        argv += [flag, draw(st.sampled_from(values))]
+    odd = draw(st.integers(0, 9))  # 0 or 6 to 9: left well-formed
+    if odd == 1:
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(ODD_FLAGS + ODD_VALUES)))
+    elif odd in (2, 3):
+        at = draw(st.integers(2, len(argv)))  # at the end: appended
+        argv[at:at + 1] = [draw(st.sampled_from(ODD_FLAGS if odd == 2 else ODD_VALUES))]
+    elif odd == 4:
+        argv[draw(st.integers(0, 1))] = draw(st.sampled_from(
+            ["exp", "Expand", "--help", ""] + ODD_CONSTANTS + ODD_FLAGS))
+    elif odd == 5:
+        argv = argv[:draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+def argparse_namespace(argv: list[str]) -> dict | None:
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+class TestTableParser:
+    """``cli._parse`` reads the well-formed lines that argparse would read
+    the same way, and declines every other line to argparse."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(command_lines())
+    @example(["expand", "pi2", "--terms", "7" * 5000])
+    @example(["measure", "pi2", "-n", "3", "--rows", "4", "--format", "plot"])
+    @example(["bench", "random", "--seed", "٥"])
+    def test_agrees_with_argparse(self, argv):
+        parsed, expected = cli._parse(argv), argparse_namespace(argv)
+        if expected is None:
+            assert parsed is None
+        elif parsed is not None:
+            assert vars(parsed) == expected
+
+    @pytest.mark.parametrize("line", [
+        "expand pi2", "expand pi2 --terms 1040 --format csv",
+        "convergents golden --engine fast -n 3000",
+        "measure sqrt:199 --rows 150 --digits 60 --format plot",
+        "probe pi^3/4 --rows 20 --format csv --digits 60",
+        "verify pi2 --terms 5 --terms 6 --rows 007",
+        "bench random --terms 300 --seed 1", "expand  --terms 3",
+    ])
+    def test_reads_well_formed_lines(self, line):
+        argv = line.split(" ")
+        parsed = cli._parse(argv)
+        assert parsed is not None and vars(parsed) == argparse_namespace(argv)
+
+    @pytest.mark.parametrize("line", [
+        "", "expand", "expand pi2 --terms", "Expand pi2", "expand pi2 -h",
+        "expand pi2 --help", "expand pi2 --terms +5", "expand pi2 --terms ٥",
+        "expand -pi2", "expand pi2 --format plot", "expand pi2 --digits 60",
+        "expand pi2 5 6",
+    ])  # and the lines of DECLINED_PY311
+    def test_declines_other_lines(self, line):
+        assert cli._parse(line.split()) is None
+
+    def test_declines_values_past_the_int_str_limit(self, monkeypatch, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit == 0:
+            pytest.skip("this Python converts an int string of any length")
+        argv = ["expand", "pi2", "--terms", "7" * (limit + 1)]
+        assert cli._parse(argv) is None
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().err.endswith(
+            f"cfcert expand: error: argument --terms/--rows/-n: invalid int value: "
+            f"'{argv[-1]}'\n")
+
+
+# stdout, stderr and exit code of lines that the table parser declines,
+# recorded on Python 3.11 while argparse parsed every line
+DECLINED_PY311 = {
+    "expand pi2 --ter 5": (0, "9 1 6 1 2\n", ""),
+    "expand pi2 --terms=5": (0, "9 1 6 1 2\n", ""),
+    "expand pi2 -n5": (0, "9 1 6 1 2\n", ""),
+    "expand --terms 5 pi2": (0, "9 1 6 1 2\n", ""),
+    "expand pi2 -- --terms 5": (
+        2, "", "usage: cfcert [-h] {expand,convergents,measure,probe,verify,bench} ...\n"
+               "cfcert: error: unrecognized arguments: --terms 5\n"),
+    "expand pi2 --terms -5": (2, "", "usage error: --terms must be >= 1\n"),
+    "expand pi2 --format -csv": (
+        2, "", "usage: cfcert expand [-h] [--terms TERMS] [--format {text,csv}] constant\n"
+               "cfcert expand: error: argument --format: expected one argument\n"),
+    "expand -pi2 --terms 5": (
+        2, "", "usage: cfcert expand [-h] [--terms TERMS] [--format {text,csv}] constant\n"
+               "cfcert expand: error: the following arguments are required: constant\n"),
+    "measure pi2 --rows 3 --digits -1": (2, "", "usage error: digits must be >= 1\n"),
+}
+
+
+@pytest.mark.parametrize("line", DECLINED_PY311)
+def test_declined_lines_as_argparse_gives_them(monkeypatch, capsys, line):
+    code, out, err = DECLINED_PY311[line]
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli._parse(line.split()) is None
+    assert cli.run(line.split()) == code
+    if sys.version_info[:2] == (3, 11):  # argparse's wording is pinned on 3.11
+        assert capsys.readouterr() == (out, err)

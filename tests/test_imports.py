@@ -19,6 +19,9 @@
 - ``import cfcert.cli`` loads none of the standard-library modules that
   no command needs, so every command starts without paying for them, and
   a command that prints no help loads no ``shutil``.
+- A well-formed command line of each sub-command loads none of
+  ``argparse``, ``gettext`` and ``locale``: the CLI's table parser reads
+  it, and argparse is built only for help and usage errors.
 """
 
 import ast
@@ -119,6 +122,27 @@ def test_command_without_help_leaves_shutil_unloaded():
                  "argv = ['expand', 'pi2', '--terms', '3']; "
                  "assert cli.run(argv, out=io.StringIO()) == 0")
     assert loaded_after(statement, ("shutil", "zlib", "bz2", "lzma", "fnmatch")) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "pi2", "--terms", "3", "--format", "csv"],
+    ["convergents", "golden", "-n", "5", "--engine", "fast"],
+    ["measure", "pi2", "--rows", "3", "--digits", "20", "--format", "plot"],
+    ["probe", "pi2", "--rows", "3"],
+    ["verify", "sqrt:2", "--terms", "5", "--digits", "20"],
+    ["bench", "random", "--terms", "20", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_well_formed_command_leaves_argparse_unloaded(argv):
+    statement = ("import io; from cfcert import cli; "
+                 f"assert cli.run({argv!r}, out=io.StringIO()) == 0")
+    assert loaded_after(statement, ("argparse", "gettext", "locale")) == []
+
+
+def test_declined_line_loads_argparse():
+    # the control: the same check sees argparse where a line needs it
+    statement = ("import io; from cfcert import cli; "
+                 "assert cli.run(['expand', 'pi2', '--ter', '3'], out=io.StringIO()) == 0")
+    assert loaded_after(statement, ("argparse", "gettext", "locale")) != []
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)

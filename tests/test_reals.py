@@ -578,12 +578,47 @@ class TestArgumentTypes:
         (lambda: Convergent(0, Fraction(2), 3), "p must be an int, not Fraction(2, 1)"),
         (lambda: Convergent(0, 2, True), "q must be an int, not True"),
         (lambda: Convergent(0, 2, 0.0), "q must be an int, not 0.0"),
+        (lambda: Mat2(1.5, 1, 1, 0), "m00 must be an int, not 1.5"),
+        (lambda: Mat2(1, 1, True, 0), "m10 must be an int, not True"),
+        (lambda: Mat2(1, 0, 0, Fraction(1)), "m11 must be an int, not Fraction(1, 1)"),
+        (lambda: PartialQuotients((1, 2), terminated="yes"),
+         "terminated must be a bool, not 'yes'"),
+        (lambda: PartialQuotients((1, 2), terminated=1), "terminated must be a bool, not 1"),
     ], ids=["literal-float", "literal-decimal", "quotient-float", "quotient-bool",
             "quotients-float", "quotients-bool", "quotients-zero-float",
-            "convergent-n", "convergent-p", "convergent-q-bool", "convergent-q-float"])
+            "convergent-n", "convergent-p", "convergent-q-bool", "convergent-q-float",
+            "matrix-float", "matrix-bool", "matrix-fraction", "terminated-str",
+            "terminated-int"])
     def test_refused_with_the_argument_named(self, call, message):
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             call()
+
+    @pytest.mark.parametrize("value", [0.5, 2, Fraction(1, 3), (1, 2)])
+    @pytest.mark.parametrize("call, name", [
+        (lambda x: sin_certified(x, 60), "x"),
+        (lambda x: envelope_check(x, 60), "z"),
+        (lambda x: ln_certified(x, 20.0), "x"),
+        (lambda x: exp_certified(x, 20.0), "y"),
+    ], ids=["sin_certified", "envelope_check", "ln_certified", "exp_certified"])
+    def test_interval_is_a_certified_real(self, call, name, value):
+        # named before the budget or scale, which is wrong here too
+        value_text = re.escape(repr(value))
+        with pytest.raises(TypeError, match=f"^{name} must be a CertifiedReal, "
+                                            f"not {value_text}$"):
+            call(value)
+
+    @pytest.mark.parametrize("conv", [(2, 69, 7), Fraction(69, 7), Mat2(69, 10, 7, 1)],
+                             ids=["tuple", "fraction", "matrix"])
+    @pytest.mark.parametrize("call", [residual, mu_n, sine_probe])
+    def test_conv_is_a_convergent(self, call, conv):
+        value_text = re.escape(repr(conv))
+        with pytest.raises(TypeError, match=f"^conv must be a Convergent, not {value_text}$"):
+            call(PiPower(2), conv, PrecisionBudget(20))
+
+    def test_matrix_product_stays_on_ints(self):
+        m = Mat2.quotient(3) @ Mat2.quotient(7) @ Mat2.identity()
+        assert m == Mat2(22, 3, 7, 1)
+        assert {*map(type, m)} == {int}
 
 
 class TestEscalate:
