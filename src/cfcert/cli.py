@@ -8,10 +8,8 @@ a fixed configuration.
 from __future__ import annotations
 
 import os
-import re
 import sys
 import time
-from functools import partial
 from types import SimpleNamespace
 
 from .cf import expand, surd_expand
@@ -31,7 +29,6 @@ from .reals import (DEFAULT_BUDGET, ConstantSpec, DecimalLiteral, PiPower,
 
 _ENGINES = ("iter", "matrix", "fast")
 _BENCH_SIZES = (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5)
-_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_constant(token: str) -> ConstantSpec:
@@ -59,9 +56,11 @@ def parse_constant(token: str) -> ConstantSpec:
 
 
 def _integers(token: str, *fields: str) -> list[int]:
-    """The integer fields of a constant token: ASCII digits, optional sign."""
+    """The integer fields of a constant token: ASCII digits, optional sign,
+    as the regex [+-]?[0-9]+ reads them."""
     for field in fields:
-        if not _INTEGER.fullmatch(field):
+        digits = field[1:] if field[:1] in ("+", "-") else field
+        if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"constant {token!r}: {field!r} is not an integer")
     return [int(field) for field in fields]
 
@@ -299,6 +298,7 @@ def _build_parser():
     """The argparse parser of ``_COMMANDS``: the one renderer of help and
     usage errors, and the parser of every line that ``_parse`` declines."""
     import argparse  # a well-formed command line never needs it
+    from functools import partial
 
     formatter = partial(argparse.HelpFormatter, width=_help_width())
     parser = argparse.ArgumentParser(

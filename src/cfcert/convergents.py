@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from fractions import Fraction
 from itertools import islice
 from math import gcd
 
@@ -39,7 +38,8 @@ class WorkCounter:
 
 
 class Convergent(namedtuple("Convergent", "n p q")):
-    """Exact p_n/q_n in lowest terms, 0-based index n; a named tuple.
+    """Exact p_n/q_n in lowest terms, 0-based index n; a named tuple,
+    validated by ``_make`` and ``_replace`` as by the constructor.
 
     Coprimality is certified by the determinant identity (a determinant
     of +-1 divides gcd(p, q)) rather than a per-instance gcd, which would
@@ -48,6 +48,10 @@ class Convergent(namedtuple("Convergent", "n p q")):
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):  # the tuple's field count, then the constructor's checks
+        return cls(*super()._make(iterable))
 
     def __new__(cls, n: int, p: int, q: int):
         if not type(n) is type(p) is type(q) is int:
@@ -63,15 +67,21 @@ class Convergent(namedtuple("Convergent", "n p q")):
 
     @property
     def value(self) -> Fraction:
+        from fractions import Fraction  # no command reads it
         return Fraction(self.p, self.q)
 
 
 class Mat2(namedtuple("Mat2", "m00 m01 m10 m11")):
-    """2x2 integer matrix, a row-major named 4-tuple; quotient matrices
-    have determinant -1.  ``@`` is the matrix product (``*`` and ``+``
-    are the tuple's repetition and concatenation)."""
+    """2x2 integer matrix, a row-major named 4-tuple, validated by ``_make``
+    and ``_replace`` as by the constructor; quotient matrices have
+    determinant -1.  ``@`` is the matrix product (``*`` and ``+`` are the
+    tuple's repetition and concatenation)."""
 
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):  # the tuple's field count, then the constructor's checks
+        return cls(*super()._make(iterable))
 
     def __new__(cls, m00: int, m01: int, m10: int, m11: int):
         if not type(m00) is type(m01) is type(m10) is type(m11) is int:
@@ -286,6 +296,7 @@ def telescoping_sum(quotients, n: int) -> Fraction:
     q recurrence as it goes, so no list of q is kept.  The sum is
     (a_0 * q_n + D(0, n)) / q_n.
     """
+    from fractions import Fraction  # no command calls this
     terms = _terms_of(quotients, n)
 
     def split(lo: int, hi: int, q_before: int, q_lo: int):

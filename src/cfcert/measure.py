@@ -13,8 +13,6 @@ nothing about the infimum mu(alpha).
 from __future__ import annotations
 
 from collections import namedtuple
-from decimal import Decimal
-from functools import partial
 from math import gcd
 
 from .cf import expand
@@ -39,7 +37,11 @@ _MU_WIDTH = (5, 10 ** (_PLACES + 1))
 
 
 def _as_decimal(scaled: int) -> Decimal:
-    """scaled * 10^-6, exact at any size (no context rounding)."""
+    """scaled * 10^-6, exact at any size (no context rounding).
+
+    The first row formatted loads ``decimal``, which nothing else needs.
+    """
+    from decimal import Decimal
     sign, digits, _ = Decimal(scaled).as_tuple()
     return Decimal((sign, digits, -_PLACES))
 
@@ -152,7 +154,7 @@ def mu_table(alpha: ConstantSpec, rows: int,
     quotients = expand(alpha, rows, budget)
     out: list[MeasureRow] = []
     for conv in convergents_iter(quotients, min(rows, len(quotients)) - 1):
-        mu = escalate(partial(mu_n, alpha, conv), budget)
+        mu = escalate(lambda b: mu_n(alpha, conv, b), budget)
         unit = _as_decimal(_SCALE) if conv.q == 1 else None  # q^(mu - 2) = 1 at q = 1
         out.append(MeasureRow(conv.n + 1, conv.p, conv.q, mu, unit))
     return out

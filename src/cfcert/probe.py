@@ -11,7 +11,6 @@ explicit sharp constants 2/pi and 1, valid on [-pi/2, pi/2].
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial
 
 from .convergents import Convergent
 from .reals import (
@@ -131,7 +130,8 @@ def bound_check(alpha: ConstantSpec, convs: list[Convergent],
         return (*_bound_flags(abs(eps), cur, nxt),
                 envelope_check(eps, _sine_budget(eps, b)))
 
-    return [escalate(partial(attempt, cur, nxt), budget)
+    # each lambda runs to its end within its own iteration
+    return [escalate(lambda b: attempt(cur, nxt, b), budget)
             for cur, nxt in zip(convs, convs[1:])]
 
 
@@ -167,7 +167,8 @@ def probe_table(alpha: ConstantSpec, convs: list[Convergent],
                  (row.epsilon, row.sin_direct, row.sin_reduced, row.sin_unscaled)]
         return row._replace(lower_bound_ok=lower, upper_bound_ok=upper), cells
 
-    return [escalate(partial(attempt, cur, nxt), budget)
+    # each lambda runs to its end within its own iteration
+    return [escalate(lambda b: attempt(cur, nxt, b), budget)
             for cur, nxt in zip(convs, convs[1:])]
 
 

@@ -10,19 +10,15 @@ No hardware float appears on the certified path or is accepted as input.
 
 from __future__ import annotations
 
-import re
+import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterator
-from decimal import Decimal
-from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, log
 
 from .convergents import Convergent
 
 DEFAULT_PRECISION_CAP = 1_000_000
-
-_DECIMAL_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
 
 
 # ---------------------------------------------------------------------------
@@ -52,11 +48,15 @@ class PrecisionBudget(namedtuple("PrecisionBudget", "digits guard cap")):
 
     ``cap`` bounds the working precision :func:`escalate` may reach;
     exceeding it raises :class:`PrecisionError` rather than exhausting
-    memory.  A named tuple: a changed budget is rebuilt through the
-    constructor, which validates it, never through ``_replace``.
+    memory.  A named tuple whose ``_make``, and so ``_replace``, builds
+    through the constructor: every budget is validated.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):  # the tuple's field count, then the constructor's checks
+        return cls(*super()._make(iterable))
 
     def __new__(cls, digits: int, guard: int = 10, cap: int = DEFAULT_PRECISION_CAP):
         if not type(digits) is type(guard) is type(cap) is int:
@@ -143,9 +143,14 @@ class CertifiedReal:
         if isinstance(value, bool):  # a flag, not a number, as for quotients
             raise TypeError(f"bool {value!r} is not a number; pass an int, "
                             "Fraction, Decimal or decimal string")
-        # a Decimal, such as a table row's mu, gives its ratio with no Fraction built
-        num, den = (value if isinstance(value, Decimal)
-                    else Fraction(value)).as_integer_ratio()
+        # a Decimal, such as a table row's mu, gives its ratio with no Fraction
+        # built; none exists before its module is loaded, so none is loaded here
+        decimal = sys.modules.get("decimal")
+        if decimal is not None and isinstance(value, decimal.Decimal):
+            num, den = value.as_integer_ratio()
+        else:
+            from fractions import Fraction
+            num, den = Fraction(value).as_integer_ratio()
         return _iv(num, num, den)
 
     def __setattr__(self, name, value=None):  # value=None: refuses del too
@@ -165,21 +170,27 @@ class CertifiedReal:
         return hash((self.lo, self.hi))
 
     # -- basic queries ------------------------------------------------------
+    # Each Fraction view imports ``fractions`` when read, so a process that
+    # reads none, as no command on an irrational constant does, never loads it.
 
     @property
     def lo(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.lo_num, self.den)
 
     @property
     def hi(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.hi_num, self.den)
 
     @property
     def width(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.hi_num - self.lo_num, self.den)
 
     @property
     def midpoint(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.lo_num + self.hi_num, 2 * self.den)
 
     def contains(self, value) -> bool:
@@ -362,9 +373,18 @@ def _as_interval(x) -> CertifiedReal:
 # ---------------------------------------------------------------------------
 
 class PiPower(namedtuple("PiPower", "t s")):
-    """pi**(t/s) with t/s kept in lowest terms, s >= 1; a named tuple."""
+    """pi**(t/s) with t/s kept in lowest terms, s >= 1; a named tuple.
+
+    ``_make`` and ``_replace`` build through the constructor, so a replaced
+    field is validated and reduced too: ``PiPower(1, 2)._replace(t=2)`` is
+    ``PiPower(1, 1)``.
+    """
 
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):  # the tuple's field count, then the constructor's checks
+        return cls(*super()._make(iterable))
 
     def __new__(cls, t: int, s: int = 1):
         for name, value in zip(cls._fields, (t, s)):
@@ -379,9 +399,14 @@ class PiPower(namedtuple("PiPower", "t s")):
 
 
 class Surd(namedtuple("Surd", "a b d c")):
-    """Quadratic irrational (a + b*sqrt(d)) / c with d a non-square; a named tuple."""
+    """Quadratic irrational (a + b*sqrt(d)) / c with d a non-square; a named
+    tuple, validated by ``_make`` and ``_replace`` as by the constructor."""
 
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):  # the tuple's field count, then the constructor's checks
+        return cls(*super()._make(iterable))
 
     def __new__(cls, a: int, b: int, d: int, c: int):
         for name, value in zip(cls._fields, (a, b, d, c)):
@@ -400,20 +425,33 @@ class Surd(namedtuple("Surd", "a b d c")):
         return f"({self.a}+{self.b}*sqrt({self.d}))/{self.c}"
 
 
+def _is_decimal(text: str) -> bool:
+    """Whether ``text`` is an optional sign, then ASCII digits, then at most
+    one '.' followed by ASCII digits: the regex [+-]?[0-9]+(\\.[0-9]+)?."""
+    unsigned = text[1:] if text[:1] in ("+", "-") else text
+    return all(f.isascii() and f.isdigit() for f in unsigned.split(".", 1))
+
+
 class DecimalLiteral(namedtuple("DecimalLiteral", "text")):
-    """Exact finite-decimal constant, e.g. "0.5"; a named tuple of its text."""
+    """Exact finite-decimal constant, e.g. "0.5"; a named tuple of its text,
+    validated by ``_make`` and ``_replace`` as by the constructor."""
 
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):  # the tuple's field count, then the constructor's checks
+        return cls(*super()._make(iterable))
 
     def __new__(cls, text: str):
         if not isinstance(text, str):
             raise TypeError(f"text must be a str, not {text!r}")
-        if not _DECIMAL_RE.fullmatch(text):
+        if not _is_decimal(text):
             raise ValueError(f"not a finite decimal literal: {text!r}")
         return super().__new__(cls, text)
 
     @property
     def value(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.text)
 
     def describe(self) -> str:
@@ -428,6 +466,7 @@ def exact_value(spec: ConstantSpec) -> Fraction | None:
     if isinstance(spec, DecimalLiteral):
         return spec.value
     if isinstance(spec, PiPower) and spec.t == 0:
+        from fractions import Fraction
         return Fraction(1)
     return None
 
@@ -753,7 +792,8 @@ def _spec_fx(spec: ConstantSpec, scale: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def sin_certified(x: CertifiedReal, budget: PrecisionBudget) -> CertifiedReal:
-    """Enclosure of sin over x, reduced modulo pi at full precision.
+    """Enclosure of sin over x, reduced modulo pi at full precision where
+    max |x| > 3/2; below that x is its own reduction, and no pi is formed.
 
     Midpoint-radius form: one kernel run at the midpoint c of the reduced
     interval, widened by the mean value theorem,
@@ -765,8 +805,9 @@ def sin_certified(x: CertifiedReal, budget: PrecisionBudget) -> CertifiedReal:
     if x.is_zero():
         return CertifiedReal.point(0)
 
+    reach = max(-x.lo_num, x.hi_num)  # max |x| = reach / den
     # floor of max |x|: its digits are those of max |x| once that is >= 1
-    magnitude = max(-x.lo_num, x.hi_num) // x.den
+    magnitude = reach // x.den
     mag_digits = _floor_log10(magnitude) + 1 if magnitude >= 1 else 1
     scale = budget.working + mag_digits + 8
     if scale > budget.cap:
@@ -776,14 +817,18 @@ def sin_certified(x: CertifiedReal, budget: PrecisionBudget) -> CertifiedReal:
     if (x.hi_num - x.lo_num) * 10 ** budget.digits > 20 * x.den:
         raise PrecisionError("input interval too wide to certify sine")
 
-    pi = pi_interval(scale)
-    x_lo, x_hi, pi_lo, pi_hi, den = _aligned(x, pi)
-    # r = x - k pi as twice its midpoint and its width, over den; tau is
-    # twice pi's midpoint
-    mid, width, tau = x_lo + x_hi, x_hi - x_lo, pi_lo + pi_hi
-    # k nearest to x's midpoint over pi's: r's midpoint in [-pi/2, pi/2]
-    k = (2 * mid + tau) // (2 * tau)
-    mid, width = mid - k * tau, width + abs(k) * (pi_hi - pi_lo)
+    # r = x - k pi as twice its midpoint and its width, over den.  Where
+    # max |x| <= 3/2, x's midpoint over pi's is at most 0.48 from 0, so
+    # k = 0 and r = x, the same rationals as the reduction gives, with no pi
+    mid, width, den, k = x.lo_num + x.hi_num, x.hi_num - x.lo_num, x.den, 0
+    if 2 * reach > 3 * x.den:
+        pi = pi_interval(scale)
+        x_lo, x_hi, pi_lo, pi_hi, den = _aligned(x, pi)
+        # tau is twice pi's midpoint
+        mid, width, tau = x_lo + x_hi, x_hi - x_lo, pi_lo + pi_hi
+        # k nearest to x's midpoint over pi's: r's midpoint in [-pi/2, pi/2]
+        k = (2 * mid + tau) // (2 * tau)
+        mid, width = mid - k * tau, width + abs(k) * (pi_hi - pi_lo)
 
     d = 10 ** scale
     lo, hi = _sin_point_fx((mid, 2 * den), scale)

@@ -1,4 +1,5 @@
-"""Static checks over the modules of cfcert, with the stdlib ``ast``.
+"""Static checks over the modules of cfcert, with the stdlib ``ast``, and
+checks of what a fresh interpreter loads.
 
 - Every name a module imports is used in that module.  ``__init__.py``
   is exempt: its imports are the public API it re-exports.
@@ -22,20 +23,40 @@
 - A well-formed command line of each sub-command loads none of
   ``argparse``, ``gettext`` and ``locale``: the CLI's table parser reads
   it, and argparse is built only for help and usage errors.
+- ``import cfcert.cli`` loads none of ``re``, ``fractions``, ``decimal``,
+  ``numbers``, ``enum`` and ``functools``, each loaded only by the code
+  that uses it.  A well-formed command on an irrational constant loads
+  none of ``re``, ``fractions`` and ``decimal``, except that ``measure``
+  loads ``decimal`` for its printed columns; an exact input loads
+  ``fractions``.  The ``str`` checks that replace the regexes of integer
+  fields and decimal literals accept the regexes' strings, and
+  ``CertifiedReal.point`` reads its inputs as it did with ``Decimal`` and
+  ``Fraction`` imported at start-up.
 """
 
 import ast
+import json
+import re
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cfcert
+import cfcert.cli as cli
+from cfcert import DecimalLiteral
 
 PACKAGE = sorted(Path(cfcert.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 INTEGER_FIELDS = {"lo_num", "hi_num", "den"}
+# loaded only by the code that uses them: re by no command, fractions by
+# an exact input's value, decimal by measure's printed columns
+LAZY = ("re", "fractions", "decimal")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -111,8 +132,121 @@ def loaded_after(statement: str, names: tuple[str, ...]) -> list[str]:
 
 
 def test_cli_import_leaves_unneeded_modules_unloaded():
+    # re loads enum, and fractions and decimal load numbers
     assert loaded_after("import cfcert.cli",
-                        ("dataclasses", "typing", "inspect", "random")) == []
+                        ("dataclasses", "typing", "inspect", "random", *LAZY,
+                         "numbers", "enum", "functools")) == []
+
+
+def test_exact_input_loads_fractions():
+    # the control: a decimal literal's value is a Fraction
+    statement = ("import io; from cfcert import cli; "
+                 "assert cli.run(['expand', 'lit:0.25'], out=io.StringIO()) == 0")
+    assert "fractions" in loaded_after(statement, LAZY)
+
+
+TOKEN_TEXT = st.text(st.sampled_from("+-.0123456789٥５²_ \n"), max_size=8)
+
+
+def accepts(make, text: str) -> bool:
+    try:
+        make(text)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(TOKEN_TEXT)
+@example("")
+@example("+-1")
+@example("1_0")
+@example("١٢")
+@example("1\n")
+def test_integer_fields_read_as_the_regex(text):
+    # a pi^t token's one field is read by the integer check alone
+    assert (accepts(lambda t: cli.parse_constant(f"pi^{t}"), text)
+            == bool(re.fullmatch(r"[+-]?[0-9]+", text)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(TOKEN_TEXT)
+@example("5.")
+@example(".5")
+@example("+0.50")
+@example("-")
+@example("1.2.3")
+@example("0.5\n")
+def test_decimal_literals_read_as_the_regex(text):
+    assert (accepts(DecimalLiteral, text)
+            == bool(re.fullmatch(r"[+-]?[0-9]+(\.[0-9]+)?", text)))
+
+
+POINT_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from cfcert.reals import CertifiedReal
+
+
+class Ratio:  # has as_integer_ratio, but is no numbers.Rational
+    def as_integer_ratio(self):
+        return 3, 4
+
+
+def F(*args):
+    from fractions import Fraction
+    return Fraction(*args)
+
+
+def D(text):
+    from decimal import Decimal
+    return Decimal(text)
+
+
+value = eval(sys.argv[2])
+loaded = "decimal" in sys.modules
+try:
+    x = CertifiedReal.point(value)
+    outcome = ["ratio", x.lo_num, x.den]
+except Exception as exc:
+    outcome = [type(exc).__name__, str(exc)]
+print(json.dumps([loaded, outcome]))
+"""
+
+
+def parent_point(value) -> tuple[int, int]:
+    """``CertifiedReal.point``'s ratio as it was read with ``Decimal`` and
+    ``Fraction`` imported at start-up."""
+    if isinstance(value, float):
+        raise TypeError(f"inexact float {value!r}; pass an int, Fraction, "
+                        "Decimal or decimal string")
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, bool):
+        raise TypeError(f"bool {value!r} is not a number; pass an int, "
+                        "Fraction, Decimal or decimal string")
+    return (value if isinstance(value, Decimal) else Fraction(value)).as_integer_ratio()
+
+
+@pytest.mark.parametrize("expr", [
+    "7", "-3", "2.5", "True", "False", "Ratio()", "'0.25'", "'-1.5'", "'1/3'",
+    "'abc'", "F(1, 3)", "F(-10, 4)", "D('0.125')", "D('-7')", "D('NaN')",
+    "D('-Infinity')",
+])
+def test_point_in_a_fresh_process_reads_as_before(expr):
+    parent = str(Path(cfcert.__file__).parent.parent)
+    done = subprocess.run([sys.executable, "-S", "-c", POINT_SCRIPT, parent, expr],
+                          capture_output=True, text=True, check=True)
+    loaded, outcome = json.loads(done.stdout)
+    # only building the input, a Fraction or a Decimal, has loaded decimal
+    assert not loaded or expr.startswith(("F(", "D("))
+    namespace = {"Ratio": type("Ratio", (), {"as_integer_ratio": lambda self: (3, 4)}),
+                 "F": Fraction, "D": Decimal}
+    try:
+        want = ["ratio", *parent_point(eval(expr, namespace))]
+    except Exception as exc:
+        want = [type(exc).__name__, str(exc)]
+    assert outcome == want
 
 
 def test_command_without_help_leaves_shutil_unloaded():
@@ -133,9 +267,11 @@ def test_command_without_help_leaves_shutil_unloaded():
     ["bench", "random", "--terms", "20", "--seed", "1"],
 ], ids=lambda argv: argv[0])
 def test_well_formed_command_leaves_argparse_unloaded(argv):
+    # each on an irrational constant; measure prints its columns as Decimals
+    lazy = ("re", "fractions") if argv[0] == "measure" else LAZY
     statement = ("import io; from cfcert import cli; "
                  f"assert cli.run({argv!r}, out=io.StringIO()) == 0")
-    assert loaded_after(statement, ("argparse", "gettext", "locale")) == []
+    assert loaded_after(statement, ("argparse", "gettext", "locale", *lazy)) == []
 
 
 def test_declined_line_loads_argparse():

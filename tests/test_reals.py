@@ -248,6 +248,43 @@ def sine_intervals(draw):
     return CertifiedReal(centre - width / 2, centre + width / 2), PrecisionBudget(digits)
 
 
+@st.composite
+def small_sine_args(draw):
+    """(x, budget): max |x| <= 3/2 over a random, unreduced denominator,
+    no wider than ``sin_certified`` accepts at ``budget``."""
+    digits = draw(st.integers(1, 60))
+    den = draw(st.integers(1, 10 ** 40))
+    reach = 3 * den // 2
+    lo = draw(st.integers(-reach, reach))
+    hi = draw(st.integers(lo, min(reach, lo + 20 * den // 10 ** digits)))
+    return reals._iv(lo, hi, den), PrecisionBudget(digits)
+
+
+def ref_reduced_sine(x: CertifiedReal, budget: PrecisionBudget) -> CertifiedReal:
+    """``sin_certified`` as it was when every argument took pi's cell and
+    the reduction modulo pi, k = 0 included."""
+    if x.is_zero():
+        return CertifiedReal.point(0)
+    magnitude = max(-x.lo_num, x.hi_num) // x.den
+    mag_digits = _floor_log10(magnitude) + 1 if magnitude >= 1 else 1
+    scale = budget.working + mag_digits + 8
+    if (x.hi_num - x.lo_num) * 10 ** budget.digits > 20 * x.den:
+        raise PrecisionError("input interval too wide to certify sine")
+    pi = pi_interval(scale)
+    x_lo, x_hi, pi_lo, pi_hi, den = reals._aligned(x, pi)
+    mid, width, tau = x_lo + x_hi, x_hi - x_lo, pi_lo + pi_hi
+    k = (2 * mid + tau) // (2 * tau)
+    mid, width = mid - k * tau, width + abs(k) * (pi_hi - pi_lo)
+    d = 10 ** scale
+    lo, hi = reals._sin_point_fx((mid, 2 * den), scale)
+    least = 0 if lo < 0 < hi else min(abs(lo), abs(hi))
+    cos_ulps = isqrt(d * d - least * least) + 1
+    h_ulps = -(-width * d // (2 * den))
+    slack = -(-h_ulps * (cos_ulps + h_ulps) // d)
+    sin_r = reals._iv(max(lo - slack, -d), min(hi + slack, d), d)
+    return -sin_r if k % 2 else sin_r
+
+
 class TestSine:
     @settings(max_examples=150, deadline=None)
     @given(sine_intervals())
@@ -333,6 +370,51 @@ class TestSine:
         with mp.workdps(60):
             ref = mp.sin(mp.mpf(t.numerator) / t.denominator)
             assert agrees(out, ref, 45)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_sine_args())
+    @example((reals._iv(3, 3, 2), PrecisionBudget(20)))
+    @example((reals._iv(-3, -3, 2), PrecisionBudget(20)))
+    @example((reals._iv(-15, 5, 10), PrecisionBudget(1)))
+    def test_no_reduction_matches_reduced_sine(self, case):
+        # bit for bit: the same rationals reach the kernel and the radius
+        x, budget = case
+        got, want = (sin_certified(x, budget), ref_reduced_sine(x, budget))
+        assert (got.lo_num, got.hi_num, got.den) == (want.lo_num, want.hi_num, want.den)
+
+    @pytest.mark.parametrize("x", [
+        Fraction(3, 2) - Fraction(1, 10 ** 40),
+        Fraction(3, 2),
+        Fraction(3, 2) + Fraction(1, 10 ** 40),
+        -Fraction(3, 2) - Fraction(1, 10 ** 40),
+        Fraction(1499, 1000),
+        Fraction(1501, 1000),
+    ])
+    @pytest.mark.parametrize("width", [0, Fraction(1, 10 ** 45)])
+    def test_near_three_halves_matches_oracle(self, x, width):
+        budget = PrecisionBudget(40)
+        iv = CertifiedReal(x - width, x + width)
+        out = sin_certified(iv, budget)
+        with mp.workdps(_ORACLE_DPS):
+            assert all(out.contains(exact(mp.sin(as_mpf(e)))) for e in (iv.lo, iv.hi))
+        w = iv.width
+        assert out.width <= w + w * w + Fraction(1, 10 ** budget.working)
+
+    @pytest.mark.parametrize("x, calls", [
+        (Fraction(7, 5), 0), (Fraction(-3, 2), 0), (Fraction(3, 2), 0),
+        (Fraction(8, 5), 1), (Fraction(-8, 5), 1), (Fraction(10 ** 6, 3), 1),
+    ])
+    def test_pi_formed_only_past_three_halves(self, monkeypatch, x, calls):
+        seen = []
+        original = reals.pi_interval
+
+        def counted(scale):
+            seen.append(scale)
+            return original(scale)
+
+        monkeypatch.setattr(reals, "pi_interval", counted)
+        sin_certified(CertifiedReal.point(x), PrecisionBudget(30))
+        assert len(seen) == calls
 
 
 def around(mid: Fraction, ratio: Fraction) -> tuple[Fraction, Fraction]:

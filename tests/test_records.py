@@ -3,7 +3,9 @@
 Nine records are named tuples and ``PartialQuotients`` is a slotted
 sequence of its terms.  Each keeps the repr, immutability, copying,
 pickling and validation it had as a frozen dataclass; the named tuples
-also compare, hash and unpack as the tuple of their fields.
+also compare, hash and unpack as the tuple of their fields.  The six
+records that validate their fields validate them in ``_make`` and
+``_replace`` too; the table rows keep the named tuple's plain copy.
 """
 
 import copy
@@ -113,6 +115,46 @@ def test_copies_and_pickles_equal(record, text):
 def test_validation_refuses(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: PrecisionBudget(60)._replace(digits=-5), ValueError),
+    (lambda: PrecisionBudget(60)._replace(cap=9), ValueError),
+    (lambda: PrecisionBudget(60)._replace(guard=1.5), TypeError),
+    (lambda: PiPower(2)._replace(s=0), ValueError),
+    (lambda: Surd(0, 1, 2, 1)._replace(d=4), ValueError),
+    (lambda: DecimalLiteral("0.5")._replace(text="abc"), ValueError),
+    (lambda: Convergent(0, 1, 1)._replace(q=0), ValueError),
+    (lambda: Mat2._make([1.5, 1, 1, 0]), TypeError),
+    (lambda: Mat2(1, 0, 0, 1)._replace(m11=True), TypeError),
+    (lambda: Surd._make((0, 1, 2, 0)), ValueError),
+], ids=["budget-digits", "budget-cap", "budget-guard", "pipower", "surd-replace",
+        "literal", "convergent", "mat2-make", "mat2-replace", "surd-make"])
+def test_make_and_replace_validate(make, error):
+    with pytest.raises(error):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PrecisionBudget._make([60]),
+    lambda: PiPower._make([2]),
+    lambda: Convergent._make([0, 1, 1, 1]),
+], ids=["budget", "pipower", "convergent"])
+def test_make_keeps_the_field_count(make):
+    # the constructor's defaults do not fill a short iterable
+    with pytest.raises(TypeError, match="^Expected "):
+        make()
+
+
+def test_make_and_replace_build_through_the_constructor():
+    assert PiPower(1, 2)._replace(t=2) == (1, 1)  # reduced, as PiPower(2, 2)
+    assert PiPower._make((-6, 4)) == (-3, 2)
+    assert PrecisionBudget(60)._replace(digits=5) == PrecisionBudget(5)
+    assert Convergent._make(iter((3, 22, 7))) == Convergent(3, 22, 7)
+    assert type(Mat2._make([1, 1, 1, 0])) is Mat2
+    # table rows, copied per row, keep the named tuple's own plain path
+    row = MeasureRow(1, 3, 1, None, None)
+    assert row._replace(mu=1.5).mu == 1.5
 
 
 def test_pi_power_lowest_terms():
