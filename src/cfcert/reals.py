@@ -269,19 +269,44 @@ class CertifiedReal:
         monotone map, and it holds both endpoints.  No term needs dropping:
         an endpoint whose expansion ends at a_k has t = a_k, in the set as
         a canonical last quotient is >= 2 when k > 0.
+
+        After a_0, while both remainders are long, quotients come in
+        batches (Lehmer).  Each pair n/d, both now positive, lies in
+        [n'/(d' + 1), (n' + 1)/d'] for n' = n >> j and d' = d >> j, with j
+        leaving the shorter d' 256 bits.  Euclid in lockstep on the hull of
+        the two enclosures, in short integers, gives a prefix that by the
+        argument above starts every real in the hull, so both pairs share
+        it; its 2x2 step matrix then takes both pairs past it at once.
+        The quotients and remainders are those of the plain loop.
         """
         if max_terms is not None:
             _require_int("max_terms", max_terms)
             if max_terms < 0:
                 raise ValueError("max_terms must be >= 0")
         prefix: list[int] = []
-        lo, hi, lo_den, hi_den = self.lo_num, self.hi_num, self.den, self.den
-        while lo_den and hi_den and len(prefix) != max_terms:
-            (a, lo_rem), (b, hi_rem) = divmod(lo, lo_den), divmod(hi, hi_den)
-            if a != b:
+        lo, lo_den, hi, hi_den = _euclid(self.lo_num, self.den, self.hi_num, self.den,
+                                         prefix, 0 if max_terms == 0 else 1)
+        while prefix and len(prefix) != max_terms:
+            j = min(lo_den, hi_den).bit_length() - 256
+            if j < 1024:  # below 1,280 bits the batch costs more than it saves
                 break
-            prefix.append(a)
-            lo, lo_den, hi, hi_den = lo_den, lo_rem, hi_den, hi_rem
+            ln, ld, hn, hd = lo >> j, lo_den >> j, hi >> j, hi_den >> j
+            # the hull's ends, each the lesser or greater of the two bounds
+            low = (ln, ld + 1) if ln * (hd + 1) <= hn * (ld + 1) else (hn, hd + 1)
+            high = (ln + 1, ld) if (ln + 1) * hd >= (hn + 1) * ld else (hn + 1, hd)
+            batch: list[int] = []
+            most = None if max_terms is None else max_terms - len(prefix)
+            _euclid(*low, *high, batch, most)
+            if not batch:
+                break
+            # (n, d) -> (d, n - a d) per quotient a, as one matrix
+            m00, m01, m10, m11 = 1, 0, 0, 1
+            for a in batch:
+                m00, m01, m10, m11 = m10, m11, m00 - a * m10, m01 - a * m11
+            lo, lo_den = m00 * lo + m01 * lo_den, m10 * lo + m11 * lo_den
+            hi, hi_den = m00 * hi + m01 * hi_den, m10 * hi + m11 * hi_den
+            prefix += batch
+        _euclid(lo, lo_den, hi, hi_den, prefix, max_terms)
         return prefix
 
     # -- exact interval arithmetic -----------------------------------------
@@ -344,6 +369,20 @@ def _iv(lo_num: int, hi_num: int, den: int) -> CertifiedReal:
 
 def _sign(n: int) -> int:
     return (n > 0) - (n < 0)
+
+
+def _euclid(lo: int, lo_den: int, hi: int, hi_den: int, terms: list[int],
+            most: int | None) -> tuple[int, int, int, int]:
+    """Appends to ``terms`` Euclid's quotients on lo/lo_den and hi/hi_den in
+    lockstep, up to the first pair that differ, either expansion's end or
+    ``most`` terms in all; returns both pairs as left."""
+    while lo_den and hi_den and len(terms) != most:
+        (a, lo_rem), (b, hi_rem) = divmod(lo, lo_den), divmod(hi, hi_den)
+        if a != b:
+            break
+        terms.append(a)
+        lo, lo_den, hi, hi_den = lo_den, lo_rem, hi_den, hi_rem
+    return lo, lo_den, hi, hi_den
 
 
 def _half_even(n: int, den: int) -> int:
@@ -542,23 +581,22 @@ def _iroot(n: int, k: int) -> int:
 
 # -- kept constants: one enclosure each of pi, ln 2 and every spec ---------
 
-def _arc_inv_fx(m: int, sign: int, scale: int) -> tuple[int, int]:
-    """atan(1/m) for sign -1, atanh(1/m) for sign +1, integer m >= 2.
+def _arc_inv_fx(m: int, scale: int) -> tuple[int, int]:
+    """atanh(1/m), integer m >= 2.
 
     Binary splitting (Haible & Papanikolaou) sums the first n terms of
-    sign^k / ((2k+1) m^(2k+1)) exactly.  n makes the tail about one ulp: it
-    is below twice the first omitted term, as the terms alternate or shrink
-    by m^2 >= 4.
+    1 / ((2k+1) m^(2k+1)) exactly.  n makes the tail about one ulp: it is
+    below twice the first omitted term, as the terms shrink by m^2 >= 4.
     """
     def split(a: int, b: int) -> tuple[int, int, int]:
         # (q, d, t) with q = m^(2(b-a)) and
-        # sum_{a <= k < b} sign^(k-a) / ((2k+1) m^(2(k-a))) = t / (d q)
+        # sum_{a <= k < b} 1 / ((2k+1) m^(2(k-a))) = t / (d q)
         if b - a == 1:
             return m * m, 2 * a + 1, m * m
         c = (a + b) // 2
         q1, d1, t1 = split(a, c)
         q2, d2, t2 = split(c, b)
-        return q1 * q2, d1 * d2, t1 * d2 * q2 + sign ** (c - a) * d1 * t2
+        return q1 * q2, d1 * d2, t1 * d2 * q2 + d1 * t2
 
     n = 1 + int(scale * log(10) / (2 * log(m)))
     q, d, t = split(0, n)
@@ -569,15 +607,46 @@ def _arc_inv_fx(m: int, sign: int, scale: int) -> tuple[int, int]:
 
 
 def _pi_fx(scale: int) -> tuple[int, int]:
-    """Machin: pi = 16*arctan(1/5) - 4*arctan(1/239), directed rounding."""
-    a5 = _arc_inv_fx(5, -1, scale)
-    a239 = _arc_inv_fx(239, -1, scale)
-    return 16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0]
+    """Chudnovsky: pi = 426880 sqrt(10005) / S, directed rounding, 3 ulps
+    wide, where S = sum_k (-1)^k (6k)! (A + B k) / ((3k)! k!^3 640320^(3k)),
+    A = 13591409 and B = 545140134.
+
+    Binary splitting sums S's first n terms exactly as T / Q.  Term k + 1
+    over term k is 8 (6k+1)(6k+3)(6k+5) (A + B (k+1)) / ((k+1)^3 640320^3
+    (A + B k)), at most 120 * 42 / 640320^3 at k = 0 and 1728 * 2 /
+    640320^3 after: below 2 10^-14 < 10^-13.5.  So the terms alternate and
+    shrink, the tail lies below the first omitted term, and 27 n >=
+    2 (scale + 1) puts it below 10^-(scale+1) of term 0 = A < 1.0001 S.
+    Then pi 10^scale = 426880 sqrt(10005) 10^scale Q / T (1 - e) with
+    |e| < 1.0001 10^-(scale+1): the tail moves it by under 1/3 ulp.  The
+    root r = isqrt(10005 10^(2 scale)) puts sqrt(10005) 10^scale in
+    [r, r + 1], and 426880 Q / T < 1/30 ulp.  So with f = floor(426880 r
+    Q / T), pi 10^scale lies in (f - 1/3, f + 1 + 1/30 + 1/3), inside
+    (f - 1, f + 2).
+    """
+    def split(a: int, b: int) -> tuple[int, int, int]:
+        # (p, q, t) with p / q = prod_{a <= k < b} p_k / q_k and
+        # t / q = sum_{a <= k < b} (-1)^k (A + B k) prod_{a <= j <= k} p_j / q_j,
+        # where p_k / q_k = 24 (6k-5)(2k-1)(6k-1) / (k^3 640320^3), term k
+        # over term k - 1 up to (A + B k) / (A + B (k-1)), and p_0 = q_0 = 1
+        if b - a == 1:  # 640320^3 / 24 = 10939058860032000
+            p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1) if a else 1
+            q = a ** 3 * 10939058860032000 if a else 1
+            t = p * (13591409 + 545140134 * a)
+            return p, q, -t if a & 1 else t
+        c = (a + b) // 2
+        p1, q1, t1 = split(a, c)
+        p2, q2, t2 = split(c, b)
+        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+    _, q, t = split(0, -(-2 * (scale + 1) // 27))
+    f = 426880 * q * isqrt(10005 * 10 ** (2 * scale)) // t
+    return f - 1, f + 2
 
 
 def _ln2_fx(scale: int) -> tuple[int, int]:
     """ln 2 = 2 atanh(1/3)."""
-    at = _arc_inv_fx(3, 1, scale)
+    at = _arc_inv_fx(3, scale)
     return 2 * at[0], 2 * at[1]
 
 

@@ -1,5 +1,6 @@
 """Expansion tests: certified quotients, escalation, exact surd recurrence."""
 
+import random
 import re
 from fractions import Fraction
 from math import floor, isqrt
@@ -23,6 +24,7 @@ from cfcert import (
     surd_expand,
 )
 import cfcert.cf as cf
+import cfcert.reals as reals
 from cfcert.reals import DEFAULT_BUDGET, escalate
 
 from reference_data import PI2_QUOTIENTS_27
@@ -370,6 +372,131 @@ class TestEuclidOnUnreducedRatios:
                 break
             prefix.append(a)
         assert x.partial_quotients(max_terms) == prefix
+
+
+def plain_partial_quotients(lo: int, hi: int, den: int, max_terms=None) -> list[int]:
+    """The lockstep Euclid loop of CertifiedReal.partial_quotients before it
+    took quotients in batches: the reference for the batched one."""
+    prefix = []
+    lo_den = hi_den = den
+    while lo_den and hi_den and len(prefix) != max_terms:
+        (a, lo_rem), (b, hi_rem) = divmod(lo, lo_den), divmod(hi, hi_den)
+        if a != b:
+            break
+        prefix.append(a)
+        lo, lo_den, hi, hi_den = lo_den, lo_rem, hi_den, hi_rem
+    return prefix
+
+
+def quotient_stream(rng: random.Random, a0: int, bits: int, huge: float) -> list[int]:
+    """a_0, then quotients until the convergent's denominator has ``bits``
+    bits: Gauss-Kuzmin-like ones, and with probability ``huge`` one of 64
+    to 600 bits, half the time after a 1.  A huge quotient puts a complete
+    quotient within a hair of an integer, above it or (after the 1) below
+    it, where a batch's truncated ends must stop."""
+    terms, q0, q1 = [a0], 0, 1
+    while q1.bit_length() < bits:
+        if rng.random() < huge:
+            big = rng.getrandbits(rng.randint(64, 600)) | 2
+            new = [1, big] if rng.random() < 0.5 else [big]
+        else:
+            new = [int(1 / (1 - rng.random()))]
+        for a in new:
+            terms.append(a)
+            q0, q1 = q1, a * q1 + q0
+    return terms
+
+
+def fraction_of(terms: list[int]) -> tuple[int, int]:
+    """(p, q) with p / q = [terms], q > 0: fold's value, by the convergent
+    recurrence, which stays fast at 20,000 bits."""
+    p0, q0, p1, q1 = 1, 0, terms[0], 1
+    for a in terms[1:]:
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+    return p1, q1
+
+
+@st.composite
+def long_intervals(draw):
+    """(lo_num, hi_num, den, max_terms) with ends of 300 to 20,000 bits
+    whose quotients agree long enough to fill batches.
+
+    One end is a drawn rational x = p/q, a_0 in [-40, 40].  Either it is
+    kept exact over q times a factor, so that its expansion ends while
+    the remainders are still long, or it is rounded onto a random
+    denominator.  The other end lies 0, 1 or many ulps above or below.
+    """
+    # sizes from a drawn seed: hypothesis would keep its own draws short
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    bits = rng.randint(300, 20_000)
+    a0 = draw(st.integers(-40, 40))
+    huge = draw(st.sampled_from([0, 0.002, 0.02]))
+    p, q = fraction_of(quotient_stream(rng, a0, rng.randint(150, bits), huge))
+    if draw(st.booleans()):
+        m = rng.getrandbits(bits - min(bits, q.bit_length())) + 1
+        den, x = q * m, p * m
+    else:
+        den = rng.getrandbits(bits) | 1 << bits - 1
+        x = p * den // q + draw(st.integers(-2, 2))
+    width = draw(st.sampled_from([0, 1, rng.getrandbits(rng.randint(2, bits))]))
+    lo, hi = (x, x + width) if draw(st.booleans()) else (x - width, x)
+    max_terms = draw(st.sampled_from([None, rng.randint(0, bits * 3 // 5)]))
+    return lo, hi, den, max_terms
+
+
+def batched_example(a0: int, run: list[int], shift: int, width: int,
+                    max_terms=None, more: int = 2000):
+    """x = [a0; run] and ``more`` quotients after, kept exact over its
+    denominator times 2^shift, and the end ``width`` ulps above it."""
+    rng = random.Random(30)
+    p, q = fraction_of([a0, *run, *(int(1 / (1 - rng.random())) for _ in range(more))])
+    return p << shift, (p << shift) + width, q << shift, max_terms
+
+
+class TestBatchedQuotients:
+    """Batches of quotients from the leading bits give the plain loop's
+    quotients, on intervals long enough to take them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(long_intervals())
+    # a point, its expansion ending while the remainders are 1,500 bits long
+    @example(batched_example(3, [], 1500, 0))
+    # x = -4 - 1/(2^255 + 1) over 2^1500 (2^255 + 1), so a_0 = -5: for a
+    # negative n, n'/(d' + 1) and (n' + 1)/d' here both lie in [-4, -3),
+    # which is why a_0 is never batched
+    @example(batched_example(-5, [1, 2 ** 255], 1500, 0, more=0))
+    # after a_0 = -5, 1 + 2^-300 is too near 1 for a batch: the loop takes all
+    @example(batched_example(-5, [1, 2 ** 300], 2000, 1))
+    # max_terms cutting inside the second batch
+    @example(batched_example(0, [], 0, 1, 100))
+    # one ulp and many ulps wide; at 2^1463 ulps the two ends' enclosures
+    # are apart where the prefix ends, and only their hull stops in time
+    @example(batched_example(1, [7, 2 ** 200, 1], 2500, 1))
+    @example(batched_example(0, [], 0, 2 ** 1463))
+    def test_equal_to_the_plain_loop(self, case):
+        lo, hi, den, max_terms = case
+        assert (reals._iv(lo, hi, den).partial_quotients(max_terms)
+                == plain_partial_quotients(lo, hi, den, max_terms))
+
+    def test_exact_end_ends_on_the_quotient_after_a_batch(self, monkeypatch):
+        # an exact end lies strictly inside its truncated enclosure, so no
+        # batch takes its last quotient: the plain loop takes that one
+        lo, hi, den, _ = batched_example(2, [], 3000, 0)
+        calls, euclid = [], reals._euclid
+
+        def recorded(lo, lo_den, hi, hi_den, terms, most):
+            start = len(terms)
+            left = euclid(lo, lo_den, hi, hi_den, terms, most)
+            calls.append((start, len(terms), left[1]))
+            return left
+
+        monkeypatch.setattr(reals, "_euclid", recorded)
+        terms = reals._iv(lo, hi, den).partial_quotients()
+        assert terms == canonical_expansion(Fraction(lo, den))
+        first, *batches, tail = calls
+        assert first[:2] == (0, 1) and len(batches) > 10
+        # the tail took one quotient, the last, and reached remainder 0
+        assert tail == (len(terms) - 1, len(terms), 0)
 
 
 class TestLongExpansions:

@@ -6,8 +6,10 @@ import re
 from dataclasses import FrozenInstanceError
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
-from math import ceil, floor, isqrt
+from math import ceil, floor, isqrt, log
+from unittest.mock import patch
 
 import mpmath as mp
 import pytest
@@ -145,28 +147,101 @@ class TestEvalConstant:
         assert a == b
 
 
+def machin_arctan_fx(m: int, scale: int) -> tuple[int, int]:
+    """atan(1/m) as a directed pair: the Machin kernel that Chudnovsky's
+    replaced, kept as an independent reference for pi."""
+    def split(a, b):
+        if b - a == 1:
+            return m * m, 2 * a + 1, m * m
+        c = (a + b) // 2
+        q1, d1, t1 = split(a, c)
+        q2, d2, t2 = split(c, b)
+        return q1 * q2, d1 * d2, t1 * d2 * q2 + (-1) ** (c - a) * d1 * t2
+
+    n = 1 + int(scale * log(10) / (2 * log(m)))
+    q, d, t = split(0, n)
+    num, den = t * 10 ** scale, m * d * q
+    tail = -(-2 * 10 ** scale // ((2 * n + 1) * m * q))
+    return num // den - tail, -(-num // den) + tail
+
+
+@lru_cache(maxsize=1)
+def machin_pi_fx(scale: int) -> tuple[int, int]:
+    """pi = 16 atan(1/5) - 4 atan(1/239), directed."""
+    a5, a239 = machin_arctan_fx(5, scale), machin_arctan_fx(239, scale)
+    return 16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0]
+
+
+def machin_floor(scale: int) -> int:
+    """floor(pi 10^scale), scale <= 20,000, cut from one Machin enclosure
+    at 20,050 digits."""
+    lo, hi = machin_pi_fx(20_050)
+    d = 10 ** (20_050 - scale)
+    assert lo // d == hi // d
+    return lo // d
+
+
 class TestKeptConstants:
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=2, max_value=500), st.sampled_from([-1, 1]),
-           st.integers(min_value=1, max_value=3000))
-    @example(2, 1, 3000)
-    @example(500, -1, 1)
-    def test_arc_series_matches_oracle(self, m, sign, scale):
-        lo, hi = reals._arc_inv_fx(m, sign, scale)
+    @given(st.integers(min_value=2, max_value=500), st.integers(min_value=1, max_value=3000))
+    @example(2, 3000)
+    @example(500, 1)
+    def test_arc_series_matches_oracle(self, m, scale):
+        lo, hi = reals._arc_inv_fx(m, scale)
         with mp.workdps(scale + 30):
-            x = mp.atan(mp.mpf(1) / m) if sign < 0 else mp.atanh(mp.mpf(1) / m)
-            assert lo <= x * 10 ** scale <= hi
+            assert lo <= mp.atanh(mp.mpf(1) / m) * 10 ** scale <= hi
         assert hi - lo <= 5
 
-    @pytest.mark.parametrize("scale, kept", [(761, 1538), (762, 770), (763, 771)])
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=1, max_value=6000))
+    @example(1)
+    @example(6000)
+    def test_pi_kernel_encloses_pi(self, scale):
+        # Chudnovsky's pair is 3 ulps wide: (f - 1, f + 2) around pi 10^scale
+        lo, hi = reals._pi_fx(scale)
+        with mp.workdps(scale + 30):
+            assert lo < mp.pi * 10 ** scale < hi
+        assert hi - lo == 3
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=1, max_value=20_000))
+    @example(20_000)
+    @example(761)
+    def test_pi_cells_equal_machins(self, scale):
+        with patch.dict(reals._KEPT, clear=True):  # the cell from Chudnovsky at scale + 8
+            cell = pi_interval(scale)
+        f = machin_floor(scale)
+        assert (cell.lo_num, cell.hi_num, cell.den) == (f, f + 1, 10 ** scale)
+
+    @pytest.mark.parametrize("scale, kept", [(761, 769), (762, 770), (763, 771)])
     def test_pi_cell_at_feynman_point(self, monkeypatch, scale, kept):
-        # six 9s from decimal 762 on: the enclosure at scale + 8 cannot decide
-        # the cell at 761, which takes a second one at twice that scale
+        # six 9s at decimals 762-767, then 8 and 3: the 3-ulp enclosure at
+        # scale + 8 decides the cell at 761 (a Machin one 60 ulps wide did
+        # not).  Only seven 9s or seven 0s in a row after the cell's last
+        # digit leave that enclosure undecided, and neither run occurs among
+        # pi's first 300,000 decimals: from an empty store no cell there
+        # takes a second enclosure
         monkeypatch.setattr(reals, "_KEPT", {})
         cell = pi_interval(scale)
         assert cell.width == Fraction(1, 10 ** scale)
         with mp.workdps(scale + 20):
             assert cell.lo == Fraction(int(mp.floor(mp.pi * 10 ** scale)), 10 ** scale)
+        assert reals._KEPT[(reals._pi_fx,)][0] == kept
+
+    @pytest.mark.parametrize("scale, kept", [(760, 767), (761, 1534), (766, 1534),
+                                             (767, 1534)])
+    def test_pi_cell_from_a_kept_enclosure(self, monkeypatch, scale, kept):
+        # the enclosure kept at 767 ends in the six 9s, so it cannot decide
+        # the cells at 761-766, and one at scale 767 itself decides none:
+        # each takes a second enclosure at twice 767.  The cell at 760 ends
+        # on 4999999 and is cut from the kept one
+        monkeypatch.setattr(reals, "_KEPT", {})
+        pi_interval(759)
+        assert reals._KEPT[(reals._pi_fx,)][0] == 767
+        cell = pi_interval(scale)
+        with mp.workdps(scale + 20):
+            f = int(mp.floor(mp.pi * 10 ** scale))
+        assert (cell.lo_num, cell.hi_num, cell.den) == (f, f + 1, 10 ** scale)
         assert reals._KEPT[(reals._pi_fx,)][0] == kept
 
     def test_results_independent_of_history(self, monkeypatch):
