@@ -7,7 +7,6 @@ a fixed configuration.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from types import SimpleNamespace
@@ -251,26 +250,6 @@ def _cmd_bench(args, out) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _help_width() -> int:
-    """``shutil.get_terminal_size().columns - 2``, the width argparse's
-    formatters wrap help at: COLUMNS if it is a positive integer, else the
-    width of the terminal on ``sys.__stdout__``, else 80.
-
-    Worked out here because ``shutil`` loads zlib, bz2, lzma and fnmatch,
-    and argparse builds a formatter for every argument it adds.
-    """
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns <= 0:
-        try:
-            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
-        except (AttributeError, ValueError, OSError):
-            columns = 80
-    return columns - 2
-
-
 # One entry per sub-command: name, handler, help and flags, which both
 # _build_parser and _parse read.  A flag is (spellings, convert, default,
 # help): convert is int or the tuple of the flag's choices, and the flag
@@ -295,21 +274,19 @@ _COMMANDS = (
 
 
 def _build_parser():
-    """The argparse parser of ``_COMMANDS``: the one renderer of help and
-    usage errors, and the parser of every line that ``_parse`` declines."""
+    """The argparse parser of ``_COMMANDS``, built with argparse's own
+    defaults: the renderer of help and usage errors, and the parser of
+    every line that ``_parse`` declines.  Only those lines build it."""
     import argparse  # a well-formed command line never needs it
-    from functools import partial
 
-    formatter = partial(argparse.HelpFormatter, width=_help_width())
     parser = argparse.ArgumentParser(
         prog="cfcert",
         description="Certified continued fractions, convergents, and "
                     "irrationality-measure tables.",
-        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler, help, flags in _COMMANDS:
-        p = sub.add_parser(name, help=help, formatter_class=formatter)
+        p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         p.add_argument("constant", help=_CONSTANT_HELP)
         for spellings, convert, default, text in flags:

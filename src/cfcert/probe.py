@@ -75,7 +75,16 @@ def _sine_budget(eps: CertifiedReal, budget: PrecisionBudget) -> PrecisionBudget
     """``budget`` with its digits raised by the leading zeros of |eps|, so
     that a sine near eps holds ``budget.working`` significant digits."""
     lead = 0 if eps.is_zero() else max(0, -abs(eps).floor_log10()[0])
-    return PrecisionBudget(budget.digits + lead, budget.guard, budget.cap)
+    return _capped(budget.digits + lead, budget)
+
+
+def _capped(digits: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> PrecisionBudget:
+    """``budget`` with ``digits`` in place of its own, for a sine;
+    PrecisionError, not a budget's ValueError, where they pass its cap."""
+    if digits + budget.guard > budget.cap:
+        raise PrecisionError(f"sine needs {digits} digits + guard {budget.guard}, "
+                             f"past the precision cap {budget.cap}")
+    return budget._replace(digits=digits)
 
 
 def envelope_check(z: CertifiedReal, budget: PrecisionBudget | None = None) -> bool:
@@ -84,8 +93,10 @@ def envelope_check(z: CertifiedReal, budget: PrecisionBudget | None = None) -> b
     Valid on [-pi/2, pi/2], where both bounds are the classical concavity
     estimates with sharp constants (equalities at 0 and pi/2).  Raises
     PrecisionError if z extends beyond pi/2 by more than its own width,
-    so an enclosure of the sharp point itself is accepted.  Returns False
-    only on a certified violation, which cannot occur inside the domain.
+    so an enclosure of the sharp point itself is accepted, and, without a
+    budget, if z's resolution asks for more than the precision cap.
+    Returns False only on a certified violation, which cannot occur
+    inside the domain.
     """
     if not isinstance(z, CertifiedReal):
         raise TypeError(f"z must be a CertifiedReal, not {z!r}")
@@ -96,7 +107,7 @@ def envelope_check(z: CertifiedReal, budget: PrecisionBudget | None = None) -> b
     if budget is None:
         # the input's own resolution: sine accepts no budget finer than it
         e = CertifiedReal.point(z.width).floor_log10()[0]
-        budget = PrecisionBudget(30 if e is None else max(30, -e - 2))
+        budget = _capped(30 if e is None else max(30, -e - 2))
     scale = budget.working + 8
     pi = pi_interval(scale)
     abs_z = abs(z)

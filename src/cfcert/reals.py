@@ -79,6 +79,14 @@ class PrecisionBudget(namedtuple("PrecisionBudget", "digits guard cap")):
 DEFAULT_BUDGET = PrecisionBudget(60)  # default start of escalation and of --digits
 
 
+def _require_scale(scale) -> None:
+    """TypeError unless ``scale`` is an int, ValueError if it is negative,
+    where 10^scale would be a float."""
+    _require_int("scale", scale)
+    if scale < 0:
+        raise ValueError("scale must be >= 0")
+
+
 def _require_budget(budget) -> None:
     """TypeError unless ``budget`` is a PrecisionBudget."""
     if not isinstance(budget, PrecisionBudget):
@@ -771,7 +779,7 @@ def _exp_point_fx(y: tuple[int, int], scale: int) -> tuple[int, int]:
 
 def pi_interval(scale: int) -> CertifiedReal:
     """The one-ulp cell [f, f + 1] 10^-scale holding pi, f = floor(pi 10^scale)."""
-    _require_int("scale", scale)
+    _require_scale(scale)
     return _iv(*_cell(scale, _pi_fx), 10 ** scale)
 
 
@@ -923,7 +931,7 @@ def ln_certified(x: CertifiedReal, scale: int) -> CertifiedReal:
     """Enclosure of ln over a certainly-positive interval, however wide:
     |ln(c + t) - ln c| <= h / lo for |t| <= h."""
     _require_real("x", x)
-    _require_int("scale", scale)
+    _require_scale(scale)
     if not x.certainly_positive():
         raise PrecisionError("ln needs an interval certified positive")
     lo, hi = _ln_point_fx((x.lo_num + x.hi_num, 2 * x.den), scale)
@@ -937,7 +945,7 @@ def exp_certified(y: CertifiedReal, scale: int) -> CertifiedReal:
     scale ln 10] (else PrecisionError): |exp(c + t) - exp c| <= h exp(c) e^h
     for |t| <= h, where e^h <= 2^ceil(2h) as ln 2 > 1/2."""
     _require_real("y", y)
-    _require_int("scale", scale)
+    _require_scale(scale)
     bound, unit = (scale * log(10)).as_integer_ratio()
     if max(-y.lo_num, y.hi_num) * unit > bound * y.den:
         raise PrecisionError(f"exp argument out of range at scale {scale}")

@@ -510,6 +510,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == ("usage error: digits 1000000 + guard 10 "
                                            "exceed the precision cap 1000000\n")
 
+    def test_sine_budget_past_the_cap_is_a_domain_error(self, capsys):
+        # 999,989 + 10 digits are within the cap, but |eps| = 10^-3 of the
+        # first row asks the sines for 3 digits more
+        code, out = run_cli("probe", "lit:0.001", "--rows", "3", "--digits", "999989")
+        assert (code, out) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: sine needs 999992 digits + guard 10, "
+                              "past the precision cap 1000000")
+
     def test_missing_subcommand(self):
         code, _ = run_cli()
         assert code == 2

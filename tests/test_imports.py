@@ -19,7 +19,7 @@ checks of what a fresh interpreter loads.
   build on ``reals`` and ``convergents`` alone.
 - ``import cfcert.cli`` loads none of the standard-library modules that
   no command needs, so every command starts without paying for them, and
-  a command that prints no help loads no ``shutil``.
+  a well-formed command line loads no ``shutil``.
 - A well-formed command line of each sub-command loads none of
   ``argparse``, ``gettext`` and ``locale``: the CLI's table parser reads
   it, and argparse is built only for help and usage errors.

@@ -136,6 +136,14 @@ class TestEnvelope:
         with pytest.raises(PrecisionError):
             envelope_check(CertifiedReal.point(2), PrecisionBudget(30))
 
+    def test_resolution_past_the_cap_is_a_precision_error(self):
+        # a z 10^-999999 wide asks its sine for 999,997 digits, plus 10 guard
+        z = CertifiedReal(0, Fraction(1, 10 ** 999_999))
+        with pytest.raises(PrecisionError, match="^sine needs 999997 digits "
+                                                 "\\+ guard 10, past the precision "
+                                                 "cap 1000000$"):
+            envelope_check(z)
+
     def test_interior_points_strict(self):
         budget = PrecisionBudget(40)
         pi = pi_interval(60)

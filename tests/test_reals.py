@@ -254,6 +254,43 @@ class TestKeptConstants:
         assert (pi_interval(50), eval_constant(spec, budget)) == before
 
 
+def shared_quotients(lo: int, hi: int, den: int) -> list[int]:
+    """The partial quotients that lo/den and hi/den share, by a plain
+    ``divmod`` Euclid on each end in lockstep: those of every real between."""
+    terms = []
+    a, b, c, d = lo, den, hi, den
+    while b and d:
+        (q, r), (q_hi, r_hi) = divmod(a, b), divmod(c, d)
+        if q != q_hi:
+            break
+        terms.append(q)
+        a, b, c, d = b, r, d, r_hi
+    return terms
+
+
+class TestExpansionAtDepth:
+    """expand at CI depths against a second method: Machin's pi, raised
+    and rooted in plain integers, then Euclid on both ends.  It shares
+    neither Chudnovsky's series, ``_iroot`` nor the Lehmer batches."""
+
+    def test_pi_squared_12000_quotients(self):
+        s = 12_600
+        lo, hi = machin_pi_fx(s)
+        shared = shared_quotients(lo * lo, hi * hi, 10 ** (2 * s))
+        assert len(shared) >= 12_000
+        assert expand(PiPower(2, 1), 12_000).terms[:12_000] == tuple(shared[:12_000])
+
+    def test_pi_three_quarters_6000_quotients(self):
+        # floor(floor(sqrt(n))^(1/2)) = floor(n^(1/4)), so with pi 10^s in
+        # [lo, hi], pi^(3/4) 10^s lies in [root(lo), root(hi) + 1]
+        s = 6_400
+        lo, hi = machin_pi_fx(s)
+        root = lambda f: isqrt(isqrt(f ** 3 * 10 ** s))
+        shared = shared_quotients(root(lo), root(hi) + 1, 10 ** s)
+        assert len(shared) >= 6_000
+        assert expand(PiPower(3, 4), 6_000).terms[:6_000] == tuple(shared[:6_000])
+
+
 class TestBudget:
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -771,6 +808,22 @@ class TestArgumentTypes:
         value_text = re.escape(repr(conv))
         with pytest.raises(TypeError, match=f"^conv must be a Convergent, not {value_text}$"):
             call(PiPower(2), conv, PrecisionBudget(20))
+
+    @pytest.mark.parametrize("call", [
+        lambda: pi_interval(-1),
+        lambda: ln_certified(CertifiedReal.point(2), -1),
+        lambda: exp_certified(CertifiedReal.point(1), -1),
+    ], ids=["pi_interval", "ln_certified", "exp_certified"])
+    def test_negative_scale_refused(self, call):
+        # 10^-1 is a float, which no enclosure may hold
+        with pytest.raises(ValueError, match="^scale must be >= 0$"):
+            call()
+
+    def test_scale_zero_stays_on_ints(self):
+        cells = (pi_interval(0), ln_certified(CertifiedReal.point(2), 0),
+                 exp_certified(CertifiedReal.point(0), 0))
+        ends = [(type(x.lo_num), type(x.hi_num), x.den) for x in cells]
+        assert ends == [(int, int, 1)] * 3
 
     def test_matrix_product_stays_on_ints(self):
         m = Mat2.quotient(3) @ Mat2.quotient(7) @ Mat2.identity()
