@@ -6,9 +6,10 @@ trades the recurrence's quadratic big-integer work for quasi-linear
 work under subquadratic integer multiplication.  The matrix engine and
 the tree run on plain row-major 4-tuples through the one 8-product
 routine that ``Mat2.mul`` also uses, so the matrix engine stays an
-arithmetic independent of the recurrence.  ``check_determinant``
-verifies the identity directly only where the recurrence does not
-already certify it.
+arithmetic independent of the recurrence; for the final convergent
+alone it folds quotient matrices in word-sized blocks, one big product
+per block.  ``check_determinant`` verifies the identity directly only
+where the recurrence does not already certify it.
 """
 
 from __future__ import annotations
@@ -188,7 +189,8 @@ def _matrix_pairs(terms: Sequence[int], upto: int,
         yield acc[0], acc[2]
 
 
-_PAIR_STREAMS = {"iter": _recurrence_pairs, "matrix": _matrix_pairs}
+# |block[0]| that closes a block in final_convergent's matrix path: a word
+_BLOCK_BOUND = 1 << 60
 
 
 def convergents_iter(quotients, upto: int,
@@ -231,15 +233,31 @@ def final_convergent(quotients, n: int, engine: str = "iter",
 
     Matches the list engines' last element; lets benchmarks run the
     sequential engines at lengths where storing every convergent would
-    exhaust memory.
+    exhaust memory.  The matrix engine forms the same left-to-right
+    product grouped in blocks: consecutive quotient matrices are
+    multiplied into a small block, which starts from its first quotient
+    matrix, and once |block[0]| reaches ``_BLOCK_BOUND``, or the last
+    quotient is in, one full 2x2 product takes the block into the big
+    running product.  That is still n + 1 products, most of them small,
+    so the running product is passed over about once a block rather
+    than once a quotient.
     """
     if engine == "fast":
         return convergents_fast(quotients, n, counter)
-    if engine not in _PAIR_STREAMS:
+    if engine == "iter":
+        for p, q in _recurrence_pairs(_terms_of(quotients, n), n, counter):
+            pass  # keep only the last pair
+        return Convergent(n, p, q)
+    if engine != "matrix":
         raise ValueError(f"unknown engine {engine!r}")
-    for p, q in _PAIR_STREAMS[engine](_terms_of(quotients, n), n, counter):
-        pass  # keep only the last pair
-    return Convergent(n, p, q)
+    acc, block = (1, 0, 0, 1), None
+    for a in islice(_terms_of(quotients, n), n + 1):
+        block = (a, 1, 1, 0) if block is None else _mul4(block, (a, 1, 1, 0), counter)
+        if abs(block[0]) >= _BLOCK_BOUND:
+            acc, block = _mul4(acc, block, counter), None
+    if block is not None:
+        acc = _mul4(acc, block, counter)
+    return Convergent(n, acc[0], acc[2])
 
 
 def check_determinant(seq: Sequence[Convergent]) -> bool:

@@ -106,7 +106,7 @@ def envelope_check(z: CertifiedReal, budget: PrecisionBudget | None = None) -> b
         return True
     if budget is None:
         # the input's own resolution: sine accepts no budget finer than it
-        e = CertifiedReal.point(z.width).floor_log10()[0]
+        e = (z - z).floor_log10()[1]  # [-w, w] on z's own denominator
         budget = _capped(30 if e is None else max(30, -e - 2))
     scale = budget.working + 8
     pi = pi_interval(scale)

@@ -77,6 +77,29 @@ def direct_check_determinant(seq) -> bool:
     return True
 
 
+# mostly 1, some 2-9, rarely a quotient of 61 to 300 bits that alone passes
+# the matrix engine's block bound of 2^60
+mixed_quotients = st.integers(0, 39).flatmap(
+    lambda k: st.just(1) if k < 24 else
+    st.integers(2, 9) if k < 39 else st.integers(2 ** 60, 2 ** 300))
+
+
+@st.composite
+def blocked_streams(draw):
+    """(terms, n) with a_0 in +-10^30 and up to 300 mixed quotients after it;
+    n is often the last index, and a stream may end in a large quotient, so
+    a block closes exactly there (with a_0 >= 1, every block's first entry
+    is at least the quotient last folded into it)."""
+    a0 = draw(st.integers(-10 ** 30, 10 ** 30))
+    rest = draw(st.lists(mixed_quotients, max_size=300))
+    if draw(st.booleans()):
+        a0 = max(a0, 1)
+        rest.append(draw(st.integers(2 ** 60, 2 ** 300)))
+    terms = [a0] + rest
+    n = draw(st.one_of(st.just(len(terms) - 1), st.integers(0, len(terms) - 1)))
+    return terms, n
+
+
 @st.composite
 def convergent_sequences(draw):
     """Convergent runs, valid or with tampered values or indices."""
@@ -183,17 +206,20 @@ class TestFastEngine:
 
 
 class TestWorkCounters:
-    @pytest.mark.parametrize("terms, pinned", [
-        (gauss_kuzmin_like(3_000, seed=3), 53_422_682),
-        ([1] * 3_000, 24_986_540),
+    @pytest.mark.parametrize("terms, pinned, pinned_final", [
+        (gauss_kuzmin_like(3_000, seed=3), 53_422_682, 2_024_608),
+        ([1] * 3_000, 24_986_540, 1_032_658),
     ], ids=["gauss-kuzmin", "ones"])
-    def test_matrix_records_eight_products_per_quotient(self, terms, pinned):
+    def test_matrix_records_eight_products_per_quotient(self, terms, pinned,
+                                                        pinned_final):
+        # the final path forms as many products, most of them on small blocks
         n = len(terms) - 1
         final, listed = WorkCounter(), WorkCounter()
         final_convergent(terms, n, "matrix", final)
         convergents_matrix(terms, n, listed)
-        for counter in (final, listed):
-            assert (counter.bits, counter.multiplications) == (pinned, 8 * len(terms))
+        assert (listed.bits, listed.multiplications) == (pinned, 8 * len(terms))
+        assert (final.bits, final.multiplications) == (pinned_final, 8 * len(terms))
+        assert final.bits < listed.bits / 10
 
     @pytest.mark.parametrize("terms, pinned", [
         (gauss_kuzmin_like(3_000, seed=3), 13_366_143),
@@ -322,6 +348,13 @@ class TestFinalConvergent:
         ref = convergents_iter(terms, 7)[-1]
         got = final_convergent(terms, 7, engine)
         assert (got.p, got.q) == (ref.p, ref.q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(blocked_streams())
+    def test_blocked_matrix_product_matches_the_recurrence(self, stream):
+        terms, n = stream
+        assert final_convergent(terms, n, "matrix") == Convergent(
+            n, *recurrence_reference(terms[:n + 1]))
 
 
 class TestIdentities:

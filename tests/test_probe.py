@@ -144,6 +144,17 @@ class TestEnvelope:
                                                  "cap 1000000$"):
             envelope_check(z)
 
+    def test_resolution_without_a_lowest_terms_width(self, monkeypatch):
+        # the default budget reads z's resolution off its own denominator
+        def no_width(self):
+            raise AssertionError("width builds a lowest-terms Fraction")
+
+        monkeypatch.setattr(CertifiedReal, "width", property(no_width))
+        low = Fraction(1, 10)
+        assert envelope_check(CertifiedReal(low, low + Fraction(3, 10 ** 45))) is True
+        assert envelope_check(CertifiedReal.point(Fraction(1, 7))) is True
+        self.test_resolution_past_the_cap_is_a_precision_error()
+
     def test_interior_points_strict(self):
         budget = PrecisionBudget(40)
         pi = pi_interval(60)

@@ -290,6 +290,20 @@ class TestExpansionAtDepth:
         assert len(shared) >= 6_000
         assert expand(PiPower(3, 4), 6_000).terms[:6_000] == tuple(shared[:6_000])
 
+    def test_pi_seven_quarters_3000_quotients(self):
+        # pi^(7/4) 10^s = (pi^7 10^(7s) / 10^(3s))^(1/4), rooted as above
+        s = 3_300
+        lo, hi = machin_pi_fx(s)
+        shared = shared_quotients(isqrt(isqrt(lo ** 7 // 10 ** (3 * s))),
+                                  isqrt(isqrt(-(-hi ** 7 // 10 ** (3 * s)))) + 1,
+                                  10 ** s)
+        assert len(shared) >= 3_000
+        assert expand(PiPower(7, 4), 3_000).terms[:3_000] == tuple(shared[:3_000])
+
+    def test_golden_ratio_3000_ones(self):
+        # (1 + sqrt 5) / 2 = [1; 1, 1, ...]
+        assert expand(Surd(1, 1, 5, 2), 3_000).terms == (1,) * 3_000
+
 
 class TestBudget:
     def test_invariants(self):
