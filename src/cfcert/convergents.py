@@ -7,15 +7,15 @@ work under subquadratic integer multiplication.  The matrix engine and
 the tree run on plain row-major 4-tuples through the one 8-product
 routine that ``Mat2.mul`` also uses, so the matrix engine stays an
 arithmetic independent of the recurrence; for the final convergent
-alone it folds quotient matrices in word-sized blocks, one big product
-per block.  ``check_determinant`` verifies the identity directly only
-where the recurrence does not already certify it.
+alone both sequential engines work in word-sized blocks, one big
+product per block.  ``check_determinant`` verifies the identity directly
+only where the recurrence does not already certify it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 from math import gcd
 
@@ -26,7 +26,7 @@ class WorkCounter:
     Each product contributes the sum of its operands' bit lengths, so the
     counter tracks the input size fed to the multiplier rather than wall
     time.  The recurrence records two products per quotient; every 2x2
-    product, in the matrix engine and in the tree, records eight.
+    product, a recurrence block's join included, records eight.
     """
 
     def __init__(self):
@@ -149,19 +149,19 @@ def _terms_of(quotients, upto: int) -> Sequence[int]:
     return terms
 
 
-def _recurrence_pairs(terms: Sequence[int], upto: int,
+def _recurrence_pairs(quotients: Iterable[int],
                       counter: WorkCounter | None) -> Iterator[tuple[int, int]]:
-    """(p_n, q_n) for n = 0..upto by the two-term recurrence.
+    """(p_n, q_n) for each quotient a_n, by the two-term recurrence.
 
-    Seeds p_-2=0, p_-1=1, q_-2=1, q_-1=0.  A unit quotient (about 41 %
-    of a Gauss-Kuzmin stream) takes two additions and no product; the
+    Seeds p_-2=0, p_-1=1, q_-2=1, q_-1=0; a quotient is drawn only when
+    its pair is asked for.  A unit quotient (about 41 % of a
+    Gauss-Kuzmin stream) takes two additions and no product; the
     counter records its two products all the same, so the work tally
     does not depend on how a step is carried out.
     """
     p_prev2, p_prev1 = 0, 1
     q_prev2, q_prev1 = 1, 0
-    for n in range(upto + 1):
-        a = terms[n]
+    for a in quotients:
         if counter is not None:
             counter.record(a, p_prev1)
             counter.record(a, q_prev1)
@@ -189,14 +189,14 @@ def _matrix_pairs(terms: Sequence[int], upto: int,
         yield acc[0], acc[2]
 
 
-# |block[0]| that closes a block in final_convergent's matrix path: a word
+# |p| that closes a block in final_convergent's sequential paths: a word
 _BLOCK_BOUND = 1 << 60
 
 
 def convergents_iter(quotients, upto: int,
                      counter: WorkCounter | None = None) -> list[Convergent]:
     """Convergents 0..upto by the two-term recurrence."""
-    pairs = _recurrence_pairs(_terms_of(quotients, upto), upto, counter)
+    pairs = _recurrence_pairs(islice(_terms_of(quotients, upto), upto + 1), counter)
     return [Convergent(n, p, q) for n, (p, q) in enumerate(pairs)]
 
 
@@ -233,21 +233,32 @@ def final_convergent(quotients, n: int, engine: str = "iter",
 
     Matches the list engines' last element; lets benchmarks run the
     sequential engines at lengths where storing every convergent would
-    exhaust memory.  The matrix engine forms the same left-to-right
-    product grouped in blocks: consecutive quotient matrices are
-    multiplied into a small block, which starts from its first quotient
-    matrix, and once |block[0]| reaches ``_BLOCK_BOUND``, or the last
-    quotient is in, one full 2x2 product takes the block into the big
-    running product.  That is still n + 1 products, most of them small,
-    so the running product is passed over about once a block rather
-    than once a quotient.
+    exhaust memory.  Both sequential engines work in blocks: once |p|
+    reaches ``_BLOCK_BOUND``, or the last quotient is in, one full 2x2
+    product takes the block into the big running product, so that is
+    passed over about once a block rather than once a quotient.  The
+    matrix engine multiplies the block's quotient matrices from its
+    first: still n + 1 products, most of them small.  The recurrence
+    runs from its seeds over the block's quotients b_1..b_k; its last
+    two pairs are the continuants P_k = K(b_1..b_k), Q_k = K(b_2..b_k)
+    and P_k-1, Q_k-1, which make the block's matrix (Euler's identity
+    p_m+k = p_m P_k + p_m-1 Q_k): two small products per quotient and
+    eight per join.
     """
     if engine == "fast":
         return convergents_fast(quotients, n, counter)
     if engine == "iter":
-        for p, q in _recurrence_pairs(_terms_of(quotients, n), n, counter):
-            pass  # keep only the last pair
-        return Convergent(n, p, q)
+        acc, stream = (1, 0, 0, 1), islice(_terms_of(quotients, n), n + 1)
+        while True:
+            pairs = [(1, 0)]  # p_-1, q_-1: the pair before the block's first
+            for p, q in _recurrence_pairs(stream, counter):
+                pairs.append((p, q))
+                if abs(p) >= _BLOCK_BOUND:
+                    break
+            if len(pairs) == 1:  # no quotient left
+                return Convergent(n, acc[0], acc[2])
+            (p_before, q_before), (p, q) = pairs[-2:]
+            acc = _mul4(acc, (p, p_before, q, q_before), counter)
     if engine != "matrix":
         raise ValueError(f"unknown engine {engine!r}")
     acc, block = (1, 0, 0, 1), None
@@ -295,7 +306,7 @@ def telescoping_sums(quotients, upto: int) -> Iterator[tuple[int, int]]:
     terms = _terms_of(quotients, upto)
     total, q_prev, sign = terms[0], 1, 1  # q_0 = 1
     yield total, q_prev
-    for _, q in islice(_recurrence_pairs(terms, upto, None), 1, None):
+    for _, q in islice(_recurrence_pairs(islice(terms, upto + 1), None), 1, None):
         total = (total * q + sign) // q_prev
         yield total, q
         q_prev, sign = q, -sign

@@ -46,7 +46,7 @@ def fraction_telescoping_sums(terms, upto: int):
     total = Fraction(terms[0])
     yield total
     q_prev, sign = 1, 1  # q_0 = 1
-    for _, q in islice(_recurrence_pairs(terms, upto, None), 1, None):
+    for _, q in islice(_recurrence_pairs(islice(terms, upto + 1), None), 1, None):
         total += Fraction(sign, q_prev * q)
         yield total
         q_prev, sign = q, -sign
@@ -78,7 +78,7 @@ def direct_check_determinant(seq) -> bool:
 
 
 # mostly 1, some 2-9, rarely a quotient of 61 to 300 bits that alone passes
-# the matrix engine's block bound of 2^60
+# the block bound of 2^60 of both sequential final paths
 mixed_quotients = st.integers(0, 39).flatmap(
     lambda k: st.just(1) if k < 24 else
     st.integers(2, 9) if k < 39 else st.integers(2 ** 60, 2 ** 300))
@@ -221,18 +221,22 @@ class TestWorkCounters:
         assert (final.bits, final.multiplications) == (pinned_final, 8 * len(terms))
         assert final.bits < listed.bits / 10
 
-    @pytest.mark.parametrize("terms, pinned", [
-        (gauss_kuzmin_like(3_000, seed=3), 13_366_143),
-        ([1] * 3_000, 6_250_216),
+    @pytest.mark.parametrize("terms, pinned, pinned_final, joins", [
+        (gauss_kuzmin_like(3_000, seed=3), 13_366_143, 1_513_253, 73),
+        ([1] * 3_000, 6_250_216, 492_071, 35),
     ], ids=["gauss-kuzmin", "ones"])
-    def test_recurrence_records_two_products_per_quotient(self, terms, pinned):
-        # a unit quotient takes no product but is still counted as two
+    def test_recurrence_records_two_products_per_quotient(self, terms, pinned,
+                                                          pinned_final, joins):
+        # a unit quotient takes no product but is still counted as two; the
+        # final path adds eight per block join, and its blocks stay small
         n = len(terms) - 1
         final, listed = WorkCounter(), WorkCounter()
         final_convergent(terms, n, "iter", final)
         convergents_iter(terms, n, listed)
-        for counter in (final, listed):
-            assert (counter.bits, counter.multiplications) == (pinned, 2 * len(terms))
+        assert (listed.bits, listed.multiplications) == (pinned, 2 * len(terms))
+        assert (final.bits, final.multiplications) == (pinned_final,
+                                                       2 * len(terms) + 8 * joins)
+        assert final.bits < listed.bits / 5
 
     def test_mat2_mul_records_eight_products(self):
         x, y = Mat2(3, 5, 7, 11), Mat2(13, 17, 19, 23)
@@ -355,6 +359,12 @@ class TestFinalConvergent:
         terms, n = stream
         assert final_convergent(terms, n, "matrix") == Convergent(
             n, *recurrence_reference(terms[:n + 1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(blocked_streams())
+    def test_blocked_recurrence_matches_the_list_engine(self, stream):
+        terms, n = stream
+        assert final_convergent(terms, n, "iter") == convergents_iter(terms, n)[-1]
 
 
 class TestIdentities:

@@ -300,6 +300,23 @@ class TestExpansionAtDepth:
         assert len(shared) >= 3_000
         assert expand(PiPower(7, 4), 3_000).terms[:3_000] == tuple(shared[:3_000])
 
+    def test_pi_minus_five_thirds_2000_quotients(self):
+        # pi^(-5/3) 10^s = (10^(8s) / (pi^5 10^(5s)))^(1/3) falls as pi
+        # grows, so hi gives the lower end and lo the upper
+        s = 2_200
+
+        def cube_root(n):  # ref_iroot, its bracket checked here
+            r = ref_iroot(n, 3)
+            assert r ** 3 <= n < (r + 1) ** 3
+            return r
+
+        lo, hi = machin_pi_fx(s)
+        shared = shared_quotients(cube_root(10 ** (8 * s) // hi ** 5),
+                                  cube_root(-(-10 ** (8 * s) // lo ** 5)) + 1,
+                                  10 ** s)
+        assert len(shared) >= 2_000
+        assert expand(PiPower(-5, 3), 2_000).terms[:2_000] == tuple(shared[:2_000])
+
     def test_golden_ratio_3000_ones(self):
         # (1 + sqrt 5) / 2 = [1; 1, 1, ...]
         assert expand(Surd(1, 1, 5, 2), 3_000).terms == (1,) * 3_000
