@@ -3,13 +3,14 @@
 The iterative recurrence, the sequential 2x2 matrix product, and a
 balanced product tree all compute the same exact rationals; the tree
 trades the recurrence's quadratic big-integer work for quasi-linear
-work under subquadratic integer multiplication.  The matrix engine and
-the tree run on plain row-major 4-tuples through the one 8-product
-routine that ``Mat2.mul`` also uses, so the matrix engine stays an
-arithmetic independent of the recurrence; for the final convergent
-alone both sequential engines work in word-sized blocks, one big
-product per block.  ``check_determinant`` verifies the identity directly
-only where the recurrence does not already certify it.
+work under subquadratic integer multiplication.  Both sequential
+engines yield the state [[p_n, p_n-1], [q_n, q_n-1]] as a row-major
+4-tuple, the matrix engine through the 8-product routine of the tree
+and ``Mat2.mul``, so it stays an arithmetic independent of the
+recurrence; for the final convergent alone one fold takes either over
+word-sized blocks, and no engine multiplies by the identity.
+``check_determinant`` verifies the identity directly only where the
+recurrence does not already certify it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ class WorkCounter:
 
     Each product contributes the sum of its operands' bit lengths, so the
     counter tracks the input size fed to the multiplier rather than wall
-    time.  The recurrence records two products per quotient; every 2x2
-    product, a recurrence block's join included, records eight.
+    time.  The recurrence records two products per quotient, and every
+    2x2 product eight: one per quotient after the first in the matrix
+    engine and the tree, one per block after the first in a final path.
     """
 
     def __init__(self):
@@ -149,44 +151,42 @@ def _terms_of(quotients, upto: int) -> Sequence[int]:
     return terms
 
 
-def _recurrence_pairs(quotients: Iterable[int],
-                      counter: WorkCounter | None) -> Iterator[tuple[int, int]]:
-    """(p_n, q_n) for each quotient a_n, by the two-term recurrence.
+def _recurrence_states(quotients: Iterable[int], counter: WorkCounter | None
+                       ) -> Iterator[tuple[int, int, int, int]]:
+    """The state (p_n, p_n-1, q_n, q_n-1) for each quotient a_n, by the
+    two-term recurrence.
 
-    Seeds p_-2=0, p_-1=1, q_-2=1, q_-1=0; a quotient is drawn only when
-    its pair is asked for.  A unit quotient (about 41 % of a
-    Gauss-Kuzmin stream) takes two additions and no product; the
+    Seeds p_-1=1, p_-2=0, q_-1=0, q_-2=1, the identity; a quotient is
+    drawn only when its state is asked for.  A unit quotient (about 41 %
+    of a Gauss-Kuzmin stream) takes two additions and no product; the
     counter records its two products all the same, so the work tally
     does not depend on how a step is carried out.
     """
-    p_prev2, p_prev1 = 0, 1
-    q_prev2, q_prev1 = 1, 0
+    p, p_prev, q, q_prev = 1, 0, 0, 1
     for a in quotients:
         if counter is not None:
-            counter.record(a, p_prev1)
-            counter.record(a, q_prev1)
+            counter.record(a, p)
+            counter.record(a, q)
         if a == 1:
-            p_prev2, p_prev1 = p_prev1, p_prev1 + p_prev2
-            q_prev2, q_prev1 = q_prev1, q_prev1 + q_prev2
+            p, p_prev, q, q_prev = p + p_prev, p, q + q_prev, q
         else:
-            p_prev2, p_prev1 = p_prev1, a * p_prev1 + p_prev2
-            q_prev2, q_prev1 = q_prev1, a * q_prev1 + q_prev2
-        yield p_prev1, q_prev1
+            p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
+        yield p, p_prev, q, q_prev
 
 
-def _matrix_pairs(terms: Sequence[int], upto: int,
-                  counter: WorkCounter | None) -> Iterator[tuple[int, int]]:
-    """(p_n, q_n) for n = 0..upto from the running matrix product.
+def _matrix_states(quotients: Iterable[int], counter: WorkCounter | None
+                   ) -> Iterator[tuple[int, int, int, int]]:
+    """The state [[p_n, p_n-1], [q_n, q_n-1]] for each quotient a_n, as the
+    running product of the matrices [[a, 1], [1, 0]].
 
-    After folding a_0..a_n the product is [[p_n, p_n-1], [q_n, q_n-1]];
-    its first column is read off at every step.  Each step is a full
-    2x2 product with [[a, 1], [1, 0]], so this engine cross-checks the
-    recurrence by other arithmetic rather than restating it.
+    The first state is a_0's matrix itself; each later one is a full 2x2
+    product, so this stream cross-checks the recurrence by other
+    arithmetic rather than restating it.  Quotients are drawn lazily.
     """
-    acc = (1, 0, 0, 1)
-    for n in range(upto + 1):
-        acc = _mul4(acc, (terms[n], 1, 1, 0), counter)
-        yield acc[0], acc[2]
+    state = None
+    for a in quotients:
+        state = (a, 1, 1, 0) if state is None else _mul4(state, (a, 1, 1, 0), counter)
+        yield state
 
 
 # |p| that closes a block in final_convergent's sequential paths: a word
@@ -196,15 +196,15 @@ _BLOCK_BOUND = 1 << 60
 def convergents_iter(quotients, upto: int,
                      counter: WorkCounter | None = None) -> list[Convergent]:
     """Convergents 0..upto by the two-term recurrence."""
-    pairs = _recurrence_pairs(islice(_terms_of(quotients, upto), upto + 1), counter)
-    return [Convergent(n, p, q) for n, (p, q) in enumerate(pairs)]
+    states = _recurrence_states(islice(_terms_of(quotients, upto), upto + 1), counter)
+    return [Convergent(n, p, q) for n, (p, _, q, _) in enumerate(states)]
 
 
 def convergents_matrix(quotients, upto: int,
                        counter: WorkCounter | None = None) -> list[Convergent]:
     """Convergents 0..upto from the running left-to-right matrix product."""
-    pairs = _matrix_pairs(_terms_of(quotients, upto), upto, counter)
-    return [Convergent(n, p, q) for n, (p, q) in enumerate(pairs)]
+    states = _matrix_states(islice(_terms_of(quotients, upto), upto + 1), counter)
+    return [Convergent(n, p, q) for n, (p, _, q, _) in enumerate(states)]
 
 
 def convergents_fast(quotients, n: int,
@@ -233,42 +233,30 @@ def final_convergent(quotients, n: int, engine: str = "iter",
 
     Matches the list engines' last element; lets benchmarks run the
     sequential engines at lengths where storing every convergent would
-    exhaust memory.  Both sequential engines work in blocks: once |p|
-    reaches ``_BLOCK_BOUND``, or the last quotient is in, one full 2x2
-    product takes the block into the big running product, so that is
-    passed over about once a block rather than once a quotient.  The
-    matrix engine multiplies the block's quotient matrices from its
-    first: still n + 1 products, most of them small.  The recurrence
-    runs from its seeds over the block's quotients b_1..b_k; its last
-    two pairs are the continuants P_k = K(b_1..b_k), Q_k = K(b_2..b_k)
-    and P_k-1, Q_k-1, which make the block's matrix (Euler's identity
-    p_m+k = p_m P_k + p_m-1 Q_k): two small products per quotient and
-    eight per join.
+    exhaust memory.  Both sequential engines run one fold over blocks:
+    the engine's stream starts afresh on the quotients still to come,
+    and its state once |p| reaches ``_BLOCK_BOUND``, or once the
+    quotients run out, is the product of the block's quotient matrices.
+    The first block becomes the running product; each later one joins
+    it by one full 2x2 product, so that is passed over about once a
+    block rather than once a quotient.  Inside a block the recurrence
+    takes two small products per quotient and the matrix stream eight
+    per quotient after the block's first.
     """
     if engine == "fast":
         return convergents_fast(quotients, n, counter)
-    if engine == "iter":
-        acc, stream = (1, 0, 0, 1), islice(_terms_of(quotients, n), n + 1)
-        while True:
-            pairs = [(1, 0)]  # p_-1, q_-1: the pair before the block's first
-            for p, q in _recurrence_pairs(stream, counter):
-                pairs.append((p, q))
-                if abs(p) >= _BLOCK_BOUND:
-                    break
-            if len(pairs) == 1:  # no quotient left
-                return Convergent(n, acc[0], acc[2])
-            (p_before, q_before), (p, q) = pairs[-2:]
-            acc = _mul4(acc, (p, p_before, q, q_before), counter)
-    if engine != "matrix":
+    if engine not in ("iter", "matrix"):
         raise ValueError(f"unknown engine {engine!r}")
-    acc, block = (1, 0, 0, 1), None
-    for a in islice(_terms_of(quotients, n), n + 1):
-        block = (a, 1, 1, 0) if block is None else _mul4(block, (a, 1, 1, 0), counter)
-        if abs(block[0]) >= _BLOCK_BOUND:
-            acc, block = _mul4(acc, block, counter), None
-    if block is not None:
-        acc = _mul4(acc, block, counter)
-    return Convergent(n, acc[0], acc[2])
+    states = _recurrence_states if engine == "iter" else _matrix_states
+    acc, stream = None, islice(_terms_of(quotients, n), n + 1)
+    while True:
+        block = None
+        for block in states(stream, counter):
+            if abs(block[0]) >= _BLOCK_BOUND:
+                break
+        if block is None:  # no quotient left
+            return Convergent(n, acc[0], acc[2])
+        acc = block if acc is None else _mul4(acc, block, counter)
 
 
 def check_determinant(seq: Sequence[Convergent]) -> bool:
@@ -304,12 +292,13 @@ def telescoping_sums(quotients, upto: int) -> Iterator[tuple[int, int]]:
     grows faster than n^2; ``telescoping_sum`` splits the single sum.
     """
     terms = _terms_of(quotients, upto)
-    total, q_prev, sign = terms[0], 1, 1  # q_0 = 1
-    yield total, q_prev
-    for _, q in islice(_recurrence_pairs(islice(terms, upto + 1), None), 1, None):
+    total, sign = terms[0], 1
+    yield total, 1  # q_0 = 1
+    states = _recurrence_states(islice(terms, upto + 1), None)
+    for _, _, q, q_prev in islice(states, 1, None):
         total = (total * q + sign) // q_prev
         yield total, q
-        q_prev, sign = q, -sign
+        sign = -sign
 
 
 def telescoping_sum(quotients, n: int) -> Fraction:

@@ -107,7 +107,7 @@ def lagrange(q: int, mu) -> Decimal:
     ``mu`` is read exactly, as :meth:`CertifiedReal.point` reads every
     exact input, so a float is refused.  ln q and exp start at 7 digits
     past the value's integer digits (at least 11) and double up to the
-    package cap.
+    package cap; a value past 10^+-cap raises PrecisionError at once.
     """
     if type(q) is not int:
         raise TypeError(f"q must be an int, not {q!r}")
@@ -116,6 +116,12 @@ def lagrange(q: int, mu) -> Decimal:
     exponent = CertifiedReal.point(mu) - 2
     if q == 1:
         return _as_decimal(_SCALE)
+    # log10 q^|mu - 2| is at least this, as log10 2 > 0.30102; past the cap,
+    # exp's range check fails at every working precision escalation tries
+    low = abs(exponent).scaled(_PLACES, "floor")[0]  # <= |mu - 2| 10^6
+    if (q.bit_length() - 1) * low * 30102 // (100_000 * _SCALE) > DEFAULT_PRECISION_CAP:
+        raise PrecisionError(f"q^(mu - 2) is past 10^+-{DEFAULT_PRECISION_CAP}, out "
+                             f"of exp's range at every precision up to the cap")
     # q^|mu - 2| has at most this many integer digits, as log10 2 < 0.30103
     scaled = abs(exponent).scaled(_PLACES, "ceil")[1]  # >= |mu - 2| 10^6
     digits = q.bit_length() * scaled * 30103 // (100_000 * _SCALE) + 1

@@ -402,6 +402,14 @@ class TestBenchCommand:
         assert "agreement=ok" in out
         assert "MISMATCH" not in out
 
+    def test_single_quotient_takes_no_product_by_the_identity(self):
+        # the recurrence still counts its two products; the matrix engine
+        # starts from a_0's matrix, as the tree does
+        code, out = run_cli("bench", "sqrt:2", "--terms", "1")
+        assert code == 0
+        assert re.findall(r"engine=(\w+) .*muls=(\d+)", out) == [
+            ("iter", "2"), ("matrix", "0"), ("fast", "0")]
+
     def test_mismatch_exits_one(self, monkeypatch):
         original = cli.final_convergent
 

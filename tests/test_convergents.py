@@ -26,7 +26,7 @@ from cfcert import (
     telescoping_sum,
     telescoping_sums,
 )
-from cfcert.convergents import _recurrence_pairs
+from cfcert.convergents import _matrix_states, _recurrence_states
 
 # any first quotient >= 0, later ones >= 1
 expansions = st.tuples(
@@ -45,11 +45,12 @@ def fraction_telescoping_sums(terms, upto: int):
     sum is a reduced Fraction.  Kept as the reference."""
     total = Fraction(terms[0])
     yield total
-    q_prev, sign = 1, 1  # q_0 = 1
-    for _, q in islice(_recurrence_pairs(islice(terms, upto + 1), None), 1, None):
+    sign = 1
+    states = _recurrence_states(islice(terms, upto + 1), None)
+    for _, _, q, q_prev in islice(states, 1, None):
         total += Fraction(sign, q_prev * q)
         yield total
-        q_prev, sign = q, -sign
+        sign = -sign
 
 
 def fold_rational(terms) -> Fraction:
@@ -207,28 +208,30 @@ class TestFastEngine:
 
 class TestWorkCounters:
     @pytest.mark.parametrize("terms, pinned, pinned_final", [
-        (gauss_kuzmin_like(3_000, seed=3), 53_422_682, 2_024_608),
-        ([1] * 3_000, 24_986_540, 1_032_658),
+        (gauss_kuzmin_like(3_000, seed=3), 53_422_672, 2_024_122),
+        ([1] * 3_000, 24_986_530, 1_032_172),
     ], ids=["gauss-kuzmin", "ones"])
     def test_matrix_records_eight_products_per_quotient(self, terms, pinned,
                                                         pinned_final):
-        # the final path forms as many products, most of them on small blocks
+        # eight per quotient after the first, as a_0's matrix is the first
+        # state; the final path forms as many, most of them on small blocks
         n = len(terms) - 1
         final, listed = WorkCounter(), WorkCounter()
         final_convergent(terms, n, "matrix", final)
         convergents_matrix(terms, n, listed)
-        assert (listed.bits, listed.multiplications) == (pinned, 8 * len(terms))
-        assert (final.bits, final.multiplications) == (pinned_final, 8 * len(terms))
+        assert (listed.bits, listed.multiplications) == (pinned, 8 * n)
+        assert (final.bits, final.multiplications) == (pinned_final, 8 * n)
         assert final.bits < listed.bits / 10
 
     @pytest.mark.parametrize("terms, pinned, pinned_final, joins", [
-        (gauss_kuzmin_like(3_000, seed=3), 13_366_143, 1_513_253, 73),
-        ([1] * 3_000, 6_250_216, 492_071, 35),
+        (gauss_kuzmin_like(3_000, seed=3), 13_366_143, 1_512_767, 72),
+        ([1] * 3_000, 6_250_216, 491_585, 34),
     ], ids=["gauss-kuzmin", "ones"])
     def test_recurrence_records_two_products_per_quotient(self, terms, pinned,
                                                           pinned_final, joins):
         # a unit quotient takes no product but is still counted as two; the
-        # final path adds eight per block join, and its blocks stay small
+        # final path adds eight per join of a block after the first, and
+        # its blocks stay small
         n = len(terms) - 1
         final, listed = WorkCounter(), WorkCounter()
         final_convergent(terms, n, "iter", final)
@@ -365,6 +368,16 @@ class TestFinalConvergent:
     def test_blocked_recurrence_matches_the_list_engine(self, stream):
         terms, n = stream
         assert final_convergent(terms, n, "iter") == convergents_iter(terms, n)[-1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(blocked_streams())
+    def test_both_streams_yield_the_same_whole_state(self, stream):
+        # [[p_n, p_n-1], [q_n, q_n-1]] has determinant (-1)^(n+1)
+        terms, _ = stream
+        states = list(_recurrence_states(terms, None))
+        assert states == list(_matrix_states(terms, None))
+        for n, (p, p_prev, q, q_prev) in enumerate(states):
+            assert p * q_prev - p_prev * q == (-1) ** (n + 1)
 
 
 class TestIdentities:

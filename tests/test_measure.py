@@ -134,6 +134,18 @@ class TestLagrange:
     def test_tiny_value_of_huge_q(self):
         assert lagrange(10 ** 5700, 1) == Decimal("0.000000")
 
+    @pytest.mark.parametrize("mu", [10 ** 7, -10 ** 7, 2 + 34 * 10 ** 5],
+                             ids=["huge", "tiny", "bound-just-past-the-cap"])
+    def test_value_past_the_cap_raises_at_once(self, monkeypatch, mu):
+        # 3^(mu - 2) is past 10^+-(10^6): exp's range check fails at every
+        # level, so lagrange once ran ln 3 up to 10^6 digits only to raise
+        def never(*args):
+            raise AssertionError("ln q computed for an undecidable value")
+
+        monkeypatch.setattr(reals, "_ln_point_fx", never)
+        with pytest.raises(PrecisionError, match=r"^q\^\(mu - 2\) is past 10\^\+-1000000"):
+            lagrange(3, mu)
+
     def test_starts_at_the_values_digits(self, monkeypatch):
         # one ln q and one exp, not ln q at every level from 11 digits up
         counts = {"_ln_point_fx": 0, "_exp_point_fx": 0}
