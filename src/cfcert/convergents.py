@@ -7,8 +7,10 @@ work under subquadratic integer multiplication.  Both sequential
 engines yield the state [[p_n, p_n-1], [q_n, q_n-1]] as a row-major
 4-tuple, the matrix engine through the 8-product routine of the tree
 and ``Mat2.mul``, so it stays an arithmetic independent of the
-recurrence; for the final convergent alone one fold takes either over
-word-sized blocks, and no engine multiplies by the identity.
+recurrence.  For the final convergent alone either stream is cut into
+word-sized blocks, which the matrix engine joins by the tree and the
+recurrence by a fold from the left; no engine multiplies by the
+identity.
 ``check_determinant`` verifies the identity directly only where the
 recurrence does not already certify it.
 """
@@ -28,7 +30,8 @@ class WorkCounter:
     counter tracks the input size fed to the multiplier rather than wall
     time.  The recurrence records two products per quotient, and every
     2x2 product eight: one per quotient after the first in the matrix
-    engine and the tree, one per block after the first in a final path.
+    engine and the tree, and one per block after the first in a final
+    path, whether the blocks join by the tree or by a fold.
     """
 
     def __init__(self):
@@ -193,6 +196,38 @@ def _matrix_states(quotients: Iterable[int], counter: WorkCounter | None
 _BLOCK_BOUND = 1 << 60
 
 
+def _blocks(states, quotients: Iterator[int], counter: WorkCounter | None
+            ) -> Iterator[tuple[int, int, int, int]]:
+    """The products of consecutive runs of the quotients, in order, from
+    ``states`` (either state stream): a run starts the stream afresh on
+    the quotients still to come and closes once |p| reaches
+    ``_BLOCK_BOUND`` or the quotients run out, and its last state is
+    the product of its quotient matrices."""
+    while True:
+        block = None
+        for block in states(quotients, counter):
+            if abs(block[0]) >= _BLOCK_BOUND:
+                break
+        if block is None:  # no quotient left
+            return
+        yield block
+
+
+def _tree(level: list[tuple[int, int, int, int]], counter: WorkCounter | None
+          ) -> tuple[int, int, int, int]:
+    """The product of the row-major 4-tuples in ``level``, left to right,
+    by a balanced tree: adjacent factors are multiplied pairwise level
+    by level, an odd last factor passing up unchanged, so k factors take
+    k - 1 products and operand sizes grow evenly."""
+    while len(level) > 1:
+        nxt = [_mul4(level[i], level[i + 1], counter)
+               for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            nxt.append(level[-1])
+        level = nxt
+    return level[0]
+
+
 def convergents_iter(quotients, upto: int,
                      counter: WorkCounter | None = None) -> list[Convergent]:
     """Convergents 0..upto by the two-term recurrence."""
@@ -209,21 +244,11 @@ def convergents_matrix(quotients, upto: int,
 
 def convergents_fast(quotients, n: int,
                      counter: WorkCounter | None = None) -> Convergent:
-    """The single convergent p_n/q_n via a balanced product tree.
-
-    Adjacent factors are multiplied pairwise level by level, preserving
-    the left-to-right order of the non-commutative product.  The levels
-    hold plain row-major 4-tuples, so no ``Mat2`` is built per product.
-    """
+    """The single convergent p_n/q_n via a balanced product tree of the
+    quotient matrices, held as plain row-major 4-tuples, so no ``Mat2``
+    is built per product."""
     terms = _terms_of(quotients, n)
-    level = [(terms[i], 1, 1, 0) for i in range(n + 1)]
-    while len(level) > 1:
-        nxt = [_mul4(level[i], level[i + 1], counter)
-               for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    p, _, q, _ = level[0]
+    p, _, q, _ = _tree([(terms[i], 1, 1, 0) for i in range(n + 1)], counter)
     return Convergent(n, p, q)
 
 
@@ -233,30 +258,29 @@ def final_convergent(quotients, n: int, engine: str = "iter",
 
     Matches the list engines' last element; lets benchmarks run the
     sequential engines at lengths where storing every convergent would
-    exhaust memory.  Both sequential engines run one fold over blocks:
-    the engine's stream starts afresh on the quotients still to come,
-    and its state once |p| reaches ``_BLOCK_BOUND``, or once the
-    quotients run out, is the product of the block's quotient matrices.
-    The first block becomes the running product; each later one joins
-    it by one full 2x2 product, so that is passed over about once a
-    block rather than once a quotient.  Inside a block the recurrence
-    takes two small products per quotient and the matrix stream eight
-    per quotient after the block's first.
+    exhaust memory.  Both sequential engines cut the quotients into the
+    word-sized blocks of ``_blocks``.  The matrix engine multiplies its
+    blocks by ``_tree``, as ``convergents_fast`` does its quotients, so
+    the big products form a balanced tree; the recurrence folds its
+    blocks from the left, each joining the running product by one full
+    2x2 product.  A tree of k blocks takes the same k - 1 products as
+    the fold, so the product counts do not depend on the join; inside a
+    block the recurrence takes two small products per quotient and the
+    matrix stream eight per quotient after the block's first.
     """
     if engine == "fast":
         return convergents_fast(quotients, n, counter)
     if engine not in ("iter", "matrix"):
         raise ValueError(f"unknown engine {engine!r}")
-    states = _recurrence_states if engine == "iter" else _matrix_states
-    acc, stream = None, islice(_terms_of(quotients, n), n + 1)
-    while True:
-        block = None
-        for block in states(stream, counter):
-            if abs(block[0]) >= _BLOCK_BOUND:
-                break
-        if block is None:  # no quotient left
-            return Convergent(n, acc[0], acc[2])
-        acc = block if acc is None else _mul4(acc, block, counter)
+    stream = islice(_terms_of(quotients, n), n + 1)
+    if engine == "matrix":
+        acc = _tree(list(_blocks(_matrix_states, stream, counter)), counter)
+    else:
+        blocks = _blocks(_recurrence_states, stream, counter)
+        acc = next(blocks)
+        for block in blocks:
+            acc = _mul4(acc, block, counter)
+    return Convergent(n, acc[0], acc[2])
 
 
 def check_determinant(seq: Sequence[Convergent]) -> bool:
@@ -264,18 +288,21 @@ def check_determinant(seq: Sequence[Convergent]) -> bool:
 
     The first pair is checked by its two products.  After that, a pair
     with consecutive indices that the recurrence links to the pair
-    before it, p_n = a*p_n-1 + p_n-2 and q_n = a*q_n-1 + q_n-2 for
-    a = (q_n - q_n-2) // q_n-1, has determinant exactly minus the
-    previous one, so the previous pair's verdict carries over; each such
-    test costs time linear in the size.  Any other pair falls back to
-    the two products, so the verdict is the direct check's on every
-    input.
+    before it, p_n = a*p_n-1 + p_n-2 and q_n = a*q_n-1 + q_n-2, has
+    determinant exactly minus the previous one, so the previous pair's
+    verdict carries over; each such test costs time linear in the size.
+    The candidate a is q_n // q_n-1 with both cut to q_n-1's top 64
+    bits, so no big division is made; it can miss a_n, as can any
+    candidate on a tampered pair.  Any pair that fails the test falls
+    back to the two products, so the verdict is the direct check's on
+    every input.
     """
     for i in range(1, len(seq)):
         prev, cur = seq[i - 1], seq[i]
         if i > 1 and cur.n == prev.n + 1:
             before = seq[i - 2]
-            a = (cur.q - before.q) // prev.q
+            s = prev.q.bit_length() - 64
+            a = cur.q // prev.q if s <= 0 else (cur.q >> s) // (prev.q >> s)
             if cur.p == a * prev.p + before.p and cur.q == a * prev.q + before.q:
                 continue  # det = -(previous det), which passed
         if cur.p * prev.q - prev.p * cur.q != (1 if cur.n % 2 else -1):

@@ -101,6 +101,22 @@ def mu_n(alpha: ConstantSpec, conv: Convergent,
     return escalate(attempt, PrecisionBudget(_PLACES + 1, 4, cap))
 
 
+def _log10_power_floor(q: int, exponent: CertifiedReal) -> int:
+    """An integer at most |exponent| * log10 q, for q >= 1.
+
+    q >= t * 2^s for its top 64 bits t, and the bit length of t^16, less
+    one, is at most 16 log2 t; so 16 s plus it is at most 16 log2 q, and
+    short of it by little more than one, where q's bit length alone can
+    fall short by almost one bit (log10 3 = 0.48 read as 0.30).  With
+    log10 2 > 0.30102 and the floor of |exponent| 10^6, every factor is
+    a lower bound.
+    """
+    s = max(q.bit_length() - 64, 0)
+    log2_16 = 16 * s + ((q >> s) ** 16).bit_length() - 1  # <= 16 log2 q
+    low = abs(exponent).scaled(_PLACES, "floor")[0]  # <= |exponent| 10^6
+    return log2_16 * low * 30102 // (16 * 100_000 * _SCALE)
+
+
 def lagrange(q: int, mu) -> Decimal:
     """q^(mu - 2) at six decimals (half-even); exactly 1.000000 for q = 1.
 
@@ -116,10 +132,9 @@ def lagrange(q: int, mu) -> Decimal:
     exponent = CertifiedReal.point(mu) - 2
     if q == 1:
         return _as_decimal(_SCALE)
-    # log10 q^|mu - 2| is at least this, as log10 2 > 0.30102; past the cap,
-    # exp's range check fails at every working precision escalation tries
-    low = abs(exponent).scaled(_PLACES, "floor")[0]  # <= |mu - 2| 10^6
-    if (q.bit_length() - 1) * low * 30102 // (100_000 * _SCALE) > DEFAULT_PRECISION_CAP:
+    # past the cap, exp's range check fails at every working precision
+    # escalation tries
+    if _log10_power_floor(q, exponent) > DEFAULT_PRECISION_CAP:
         raise PrecisionError(f"q^(mu - 2) is past 10^+-{DEFAULT_PRECISION_CAP}, out "
                              f"of exp's range at every precision up to the cap")
     # q^|mu - 2| has at most this many integer digits, as log10 2 < 0.30103

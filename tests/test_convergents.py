@@ -26,7 +26,7 @@ from cfcert import (
     telescoping_sum,
     telescoping_sums,
 )
-from cfcert.convergents import _matrix_states, _recurrence_states
+from cfcert.convergents import _blocks, _matrix_states, _recurrence_states
 
 # any first quotient >= 0, later ones >= 1
 expansions = st.tuples(
@@ -208,8 +208,8 @@ class TestFastEngine:
 
 class TestWorkCounters:
     @pytest.mark.parametrize("terms, pinned, pinned_final", [
-        (gauss_kuzmin_like(3_000, seed=3), 53_422_672, 2_024_122),
-        ([1] * 3_000, 24_986_530, 1_032_172),
+        (gauss_kuzmin_like(3_000, seed=3), 53_422_672, 934_926),
+        ([1] * 3_000, 24_986_530, 822_086),
     ], ids=["gauss-kuzmin", "ones"])
     def test_matrix_records_eight_products_per_quotient(self, terms, pinned,
                                                         pinned_final):
@@ -369,6 +369,27 @@ class TestFinalConvergent:
         terms, n = stream
         assert final_convergent(terms, n, "iter") == convergents_iter(terms, n)[-1]
 
+    @pytest.mark.parametrize("k", range(1, 18))
+    @pytest.mark.parametrize("ones", ["none", "between", "trailing"])
+    def test_matrix_tree_over_k_blocks(self, k, ones):
+        # after a_0 = 3, each quotient past 2^60 closes a block, so k of them
+        # make k blocks: a tree of every shape up to 5 levels, odd leaves
+        # included; runs of 0-3 ones join the block that the next closes,
+        # and a trailing run of ones makes the last block alone
+        runs = [j % 4 if ones != "none" else 0 for j in range(k)]
+        bigs = [2 ** (60 + j) + 7 * j + 1 for j in range(k - (ones == "trailing"))]
+        terms = [3]
+        for run, big in zip(runs, bigs):
+            terms += [1] * run + [big]
+        if ones == "trailing":
+            terms += [1] * (runs[-1] + 1)
+        n = len(terms) - 1
+        assert len(list(_blocks(_matrix_states, iter(terms), None))) == k
+        counter = WorkCounter()
+        got = final_convergent(terms, n, "matrix", counter)
+        assert got == convergents_fast(terms, n) == convergents_iter(terms, n)[-1]
+        assert counter.multiplications == 8 * n
+
     @settings(max_examples=300, deadline=None)
     @given(blocked_streams())
     def test_both_streams_yield_the_same_whole_state(self, stream):
@@ -423,6 +444,19 @@ class TestIdentities:
         gapped = convs[:30] + [Convergent(c.n + 1, c.p, c.q) for c in convs[30:]]
         assert not check_determinant(gapped)
         assert check_determinant([Convergent(c.n + 2, c.p, c.q) for c in convs])
+
+    def test_determinant_candidate_off_by_one(self):
+        # q_2 = 2^64 + 1 and q_3 = (2^64 - 1) q_2 + 1 = 2^128: cut to q_2's
+        # top 64 bits, the quotient is 2^64, one past a_3, so the linked
+        # pair falls back to its two products and still passes
+        convs = convergents_iter([0, 1, 2 ** 64, 2 ** 64 - 1], 3)
+        prev, cur = convs[2], convs[3]
+        s = prev.q.bit_length() - 64
+        assert (cur.q >> s) // (prev.q >> s) == 2 ** 64
+        assert check_determinant(convs) and direct_check_determinant(convs)
+        tampered = convs[:3] + [Convergent(3, cur.p, cur.q + prev.q)]
+        assert not check_determinant(tampered)
+        assert not direct_check_determinant(tampered)
 
     def test_telescoping_examples(self):
         assert telescoping_sum([9, 1, 6], 2) == Fraction(69, 7)

@@ -2,11 +2,14 @@
 
 import io
 import re
+import time
 from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cfcert.cli as cli
 import cfcert.reals as reals
@@ -27,6 +30,7 @@ from cfcert import (
     mu_table,
     residual,
 )
+from cfcert.measure import _log10_power_floor
 from cfcert.reals import escalate
 
 from reference_data import PI2_MEASURE_TABLE
@@ -145,6 +149,31 @@ class TestLagrange:
         monkeypatch.setattr(reals, "_ln_point_fx", never)
         with pytest.raises(PrecisionError, match=r"^q\^\(mu - 2\) is past 10\^\+-1000000"):
             lagrange(3, mu)
+
+    def test_cap_bound_reads_q_past_its_bit_length(self, monkeypatch):
+        # log10 3 = 0.477 was once counted as (2 - 1) 0.30102, so 3^(2.5 10^6),
+        # about 1.19 10^6 digits, passed the pre-check and climbed the ladder
+        def never(*args):
+            raise AssertionError("ln q computed for an undecidable value")
+
+        monkeypatch.setattr(reals, "_ln_point_fx", never)
+        start = time.perf_counter()
+        with pytest.raises(PrecisionError, match=r"^q\^\(mu - 2\) is past 10\^\+-1000000"):
+            lagrange(3, 2 + 25 * 10 ** 5)
+        assert time.perf_counter() - start < 0.1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(2, 300), st.integers(2, 2 ** 300)),
+           st.fractions(-10 ** 7, 10 ** 7, max_denominator=10 ** 9))
+    # log2 q is exact for a power of two, so only log10 2 > 0.30102 and the
+    # floor of |mu - 2| 10^6 keep these two below 903,089,806.4 and 0.999996
+    @example(2 ** 300, Fraction(10 ** 7))
+    @example(2 ** 300, 2 + Fraction(1_107_305, 10 ** 8))
+    def test_cap_bound_is_a_lower_bound(self, q, mu):
+        bound = _log10_power_floor(q, CertifiedReal.point(mu) - 2)
+        with mp.workdps(30):
+            exact = abs(mp.mpf(mu.numerator) / mu.denominator - 2) * mp.log10(q)
+            assert bound <= exact
 
     def test_starts_at_the_values_digits(self, monkeypatch):
         # one ln q and one exp, not ln q at every level from 11 digits up
